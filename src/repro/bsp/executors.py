@@ -31,9 +31,8 @@ paper's Spark cluster:
     and result triples cross as length-prefixed binary frames
     (:mod:`repro.bsp.transport`) whose packed int64 columns ship raw,
     out-of-band of the meta pickle; the superstep program installs once
-    per host (shared-memory descriptor when co-located, framed pickle
-    otherwise) and partitions pin to hosts via
-    :class:`~repro.bsp.transport.StaticPlacement`.
+    per host as one frame whose tables ship the same way, and partitions
+    pin to hosts via :class:`~repro.bsp.transport.StaticPlacement`.
 
 Orthogonal to *where* compute runs is *how* payloads move: the serial and
 thread backends accept a ``transport`` codec
@@ -233,13 +232,12 @@ class RemoteExecutor(_Closable):
     per host, and the ``(pid, record, result)`` triples come back as frames
     whose packed columns were never re-encoded.
 
-    The superstep program installs once per host at :meth:`start` — as a
-    shared-memory descriptor when the host is co-located on this machine
-    (it attaches the segment instead of receiving bytes), falling back to
-    the framed raw pickle when the host replies it cannot attach. A host
-    that evicted the program mid-run answers ``need_install`` and the
-    affected tasks are replayed after a raw re-install, mirroring
-    :class:`SharedPool`'s ``ProgramSegmentGone`` fallback.
+    :meth:`start` sends each host one ``install`` frame carrying the
+    program object, whose tables the frame pickler ships out of band
+    straight from its arrays: the coordinator keeps no serialized copy of
+    a program it never calls. A host keeps the program only as long as
+    this executor's connection; a task on a connection without one fails
+    with :class:`~repro.errors.BSPError`.
 
     A host that disconnects mid-superstep raises
     :class:`~repro.errors.TransientJobError`: partition state for its shard
@@ -268,26 +266,10 @@ class RemoteExecutor(_Closable):
         self.placement = transport_mod.StaticPlacement(len(addrs))
         self._conns: list[transport_mod.FrameConnection] = []
         self._pool: ThreadPoolExecutor | None = None
-        self._segstore: shm.SharedSegmentStore | None = None
-        self._key = ""
-        self._payload = b""
         #: Scoped wire accounting for this executor's task frames.
         self.wire = transport_mod.WireStats(scope="remote_executor")
 
     def start(self, compute: Callable) -> None:
-        self._payload = pickle.dumps(compute, protocol=pickle.HIGHEST_PROTOCOL)
-        self._key = hashlib.sha256(self._payload).hexdigest()[:16]
-        wire = ("raw", self._payload)
-        if shm.shm_available():
-            try:
-                self._segstore = shm.SharedSegmentStore(tag="rprog")
-                self._segstore.publish_bytes(self._key, self._payload)
-                wire = ("seg", self._segstore.descriptor(self._key))
-            except Exception:
-                if self._segstore is not None:
-                    self._segstore.close()
-                    self._segstore = None
-                wire = ("raw", self._payload)
         try:
             for addr in self.hosts:
                 try:
@@ -300,11 +282,7 @@ class RemoteExecutor(_Closable):
                 self._conns.append(conn)
             for conn in self._conns:
                 reply = self._request(
-                    conn, {"op": "install", "key": self._key, "wire": wire})
-                if reply.get("need_payload"):
-                    reply = self._request(
-                        conn, {"op": "install", "key": self._key,
-                               "wire": ("raw", self._payload)})
+                    conn, {"op": "install", "program": compute})
                 if not reply.get("ok"):
                     raise TransientJobError(
                         f"worker host {conn.addr} rejected program install: "
@@ -353,7 +331,7 @@ class RemoteExecutor(_Closable):
         def pump():
             try:
                 for t in tasks:
-                    conn.send({"op": "task", "key": self._key, "task": t})
+                    conn.send({"op": "task", "task": t})
             except BaseException as exc:
                 send_err.append(exc)
 
@@ -379,16 +357,6 @@ class RemoteExecutor(_Closable):
                     f"{exc}"
                 ) from exc
             raise exc
-        if any(r.get("need_install") for r in replies):
-            # The host evicted (or never saw) this program; a pipelined
-            # burst then fails wholesale, so re-install raw and replay only
-            # the tasks that bounced.
-            self._request(conn, {"op": "install", "key": self._key,
-                                 "wire": ("raw", self._payload)})
-            for i, (t, r) in enumerate(zip(tasks, replies)):
-                if r.get("need_install"):
-                    replies[i] = self._request(
-                        conn, {"op": "task", "key": self._key, "task": t})
         return [self._unpack(conn, t, r) for t, r in zip(tasks, replies)]
 
     def _unpack(self, conn, task: SuperstepTask, reply: dict):
@@ -423,9 +391,6 @@ class RemoteExecutor(_Closable):
         for conn in self._conns:
             conn.close()
         self._conns = []
-        if self._segstore is not None:
-            self._segstore.close()
-            self._segstore = None
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +459,15 @@ class _ProcessSession(_Closable):
     ``start`` pickles the superstep program once; every task ships ``(key,
     payload)`` and workers cache the unpickled program by content hash, so a
     warm worker pays one dict lookup per task instead of a per-job pool
-    spawn plus per-worker initializer pickle.
+    spawn plus per-worker initializer pickle. ``close`` unpublishes the
+    program's segment, which no later run would look up.
     """
 
     def __init__(self, pool: "SharedPool"):
         self._pool = pool
         self.name = pool.name
         self.max_workers = pool.max_workers
+        self._key = ""
 
     def start(self, compute: Callable) -> None:
         self._payload = pickle.dumps(compute, protocol=pickle.HIGHEST_PROTOCOL)
@@ -511,7 +478,7 @@ class _ProcessSession(_Closable):
         return self._pool._map_process(self._key, self._payload, tasks)
 
     def close(self) -> None:  # the pool outlives the run; the owner closes it
-        pass
+        self._pool._unregister_program(self._key)
 
 
 class SharedPool(_Closable):
@@ -521,10 +488,11 @@ class SharedPool(_Closable):
     :func:`~repro.pipeline.run_pipeline` call; a long-lived service instead
     owns **one** ``SharedPool`` and hands each run a *session*
     (:meth:`session`) — an object satisfying the executor protocol whose
-    ``close()`` is a no-op, so the engine's own lifecycle management cannot
-    kill the shared workers. Only the owner's :meth:`close` (or the context
-    manager) shuts the pool down. Sessions may be used concurrently from
-    multiple dispatcher threads; both stdlib pools are thread-safe.
+    ``close()`` leaves the pool running, so the engine's own lifecycle
+    management cannot kill the shared workers. Only the owner's
+    :meth:`close` (or the context manager) shuts the pool down. Sessions
+    may be used concurrently from multiple dispatcher threads; both
+    stdlib pools are thread-safe.
     """
 
     def __init__(self, kind: str = "thread", max_workers: int = 4):
@@ -582,6 +550,13 @@ class SharedPool(_Closable):
             self._prog_order.append(key)
             while len(self._prog_order) > _SHARED_PROGRAM_CAP:
                 self._segstore.unpublish(self._prog_order.pop(0))
+
+    def _unregister_program(self, key: str) -> None:
+        """Unpublish a finished run's program segment (no-op if evicted)."""
+        with self._seg_lock:
+            if key in self._prog_order:
+                self._prog_order.remove(key)
+                self._segstore.unpublish(key)
 
     def _program_wire(self, key: str, payload: bytes):
         """Per-superstep wire for a program: segment descriptor or raw bytes.

@@ -10,9 +10,9 @@ Two halves, speaking the length-prefixed frame protocol of
 
     * ``task`` — one partition-superstep for the ``remote`` BSP backend
       (:class:`~repro.bsp.executors.RemoteExecutor`): the already-packed
-      int64 columns cross as raw out-of-band frame buffers, the superstep
-      program installs once by content hash (shared-memory descriptor when
-      co-located, framed pickle otherwise);
+      int64 columns cross as raw out-of-band frame buffers, and the
+      superstep program arrives as one ``install`` frame that lives as
+      long as its connection;
     * ``run_job`` — one whole job spec, executed through the *same*
       :func:`repro.jobs.dispatch._run_spec` the forked dispatcher workers
       use, so catalog attach fallbacks, derived-artifact reuse, cancel
@@ -63,8 +63,6 @@ from .supervise import SupervisedPool
 
 __all__ = ["WorkerHost", "RemoteHostPool", "worker_serve"]
 
-#: Cached superstep programs per host (content-hash keyed, LRU).
-_PROGRAM_CAP = 8
 #: Remembered cancels for jobs not yet (or no longer) running (bounded).
 _PENDING_CANCEL_CAP = 64
 
@@ -106,7 +104,6 @@ class WorkerHost:
         self._heartbeats = (shm.HeartbeatSlots.create(1)
                             if shm.shm_available() else None)
         self._graph_cache: dict = {}
-        self._programs: dict[str, object] = {}
         self._lock = threading.Lock()
         self._active_job: str | None = None
         self._pending_cancels: list[str] = []
@@ -181,14 +178,24 @@ class WorkerHost:
     # -- connection loop ----------------------------------------------------
 
     def _serve_conn(self, sock: socket.socket) -> None:
+        # Scoped to the connection: a coordinator that closes (or loses)
+        # its socket leaves no program behind on the host.
+        program = None
         try:
             while not self._stop.is_set():
                 try:
                     msg = frame.recv_frame(sock)
                 except (EOFError, OSError, ValueError):
                     return
+                op = msg.get("op")
                 try:
-                    reply = self._dispatch(msg)
+                    if op == "install":
+                        program = msg["program"]
+                        reply = {"ok": True}
+                    elif op == "task":
+                        reply = self._op_task(program, msg)
+                    else:
+                        reply = self._dispatch(msg)
                 except Exception as exc:  # must never kill the connection
                     detail = "".join(traceback.format_exception_only(
                         type(exc), exc)).strip()
@@ -197,7 +204,7 @@ class WorkerHost:
                     frame.send_frame(sock, reply, stats=self.wire)
                 except OSError:
                     return
-                if msg.get("op") == "shutdown":
+                if op == "shutdown":
                     self._stop.set()
                     try:
                         self._listener.close()
@@ -216,10 +223,6 @@ class WorkerHost:
             return {"ok": True, "pid": os.getpid(),
                     "shm": shm.shm_available(),
                     "graphs": len(self.catalog.keys())}
-        if op == "install":
-            return self._op_install(msg)
-        if op == "task":
-            return self._op_task(msg)
         if op == "run_job":
             return self._op_run_job(msg)
         if op == "ensure_graph":
@@ -251,31 +254,10 @@ class WorkerHost:
 
     # -- BSP task serving (the remote executor's host side) ------------------
 
-    def _op_install(self, msg: dict) -> dict:
-        key = msg["key"]
-        kind, body = msg["wire"]
-        if kind == "seg":
-            try:
-                views = shm.attach_arrays(body)
-            except (FileNotFoundError, OSError):
-                # Not co-located (or the segment is gone): ask for bytes.
-                return {"ok": False, "need_payload": True}
-            prog = pickle.loads(views["payload"])
-            del views  # drops the adopted mapping with the last view
-        else:
-            prog = pickle.loads(body)
-        with self._lock:
-            self._programs.pop(key, None)
-            self._programs[key] = prog
-            while len(self._programs) > _PROGRAM_CAP:
-                self._programs.pop(next(iter(self._programs)))
-        return {"ok": True}
-
-    def _op_task(self, msg: dict) -> dict:
-        with self._lock:
-            prog = self._programs.get(key := msg["key"])
+    def _op_task(self, prog, msg: dict) -> dict:
         if prog is None:
-            return {"ok": False, "need_install": True, "key": key}
+            return {"ok": False,
+                    "error": "no superstep program installed on this connection"}
         try:
             triple = run_task(prog, tuple(msg["task"]))
         except BaseException as exc:

@@ -293,9 +293,27 @@ class SuperstepProgram:
 
     # ---- parent-side commit (the single shared-state mutation point) ------
     def make_commit(self, store: FragmentStore):
-        """Commit hook adopting each superstep's fragment batches in pid order."""
+        """Commit hook adopting each superstep's fragment batches in pid order.
+
+        It also drops each level-0 table from this process's program once
+        the superstep that read it has committed, so a coordinator whose
+        partitions run elsewhere keeps none past its last reader either
+        (in process the compute has already popped them). A child shipping
+        at superstep ``s`` merges into its parent at ``s + 1``; that merge
+        absorbs the held rows of the parent's leaf and of a child that
+        never merged (any other leaf was absorbed by an earlier merge).
+        """
+        merges: dict[tuple[int, int], list[int]] = {}
+        for child, (parent, step) in self.send_plan.items():
+            merges.setdefault((parent, step + 1), [parent]).append(child)
 
         def on_commit(pid, rec, res, superstep) -> None:
+            if superstep == 0:
+                self.local0.pop(pid, None)
+                self.rdeg0.pop(pid, None)
+            self.extras.pop((pid, superstep), None)
+            for leaf in merges.pop((pid, superstep), ()):
+                self.held0.pop(leaf, None)
             batch = res.payload
             if batch is None:
                 return

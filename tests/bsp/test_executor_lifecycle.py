@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.bsp import shm
 from repro.bsp.accounting import PartitionStepRecord
 from repro.bsp.engine import BSPEngine, ComputeResult
 from repro.bsp.executors import (
@@ -110,6 +111,22 @@ def test_shared_process_pool_caches_program():
             assert states == {0: 1, 1: 1}
         assert len(multiprocessing.active_children()) == before + 2
     assert len(multiprocessing.active_children()) == before
+
+
+@pytest.mark.skipif(not shm.shm_available(), reason="needs /dev/shm")
+def test_shared_process_pool_keeps_no_finished_program():
+    """Every run's program has its own key (Setup mints a run token), so a
+    segment left behind is never looked up again: a session unpublishes
+    its program when the run ends."""
+    from repro.generate.synthetic import grid_city
+    from repro.pipeline import RunConfig, run_pipeline
+
+    with SharedPool("process", max_workers=2) as pool:
+        for _ in range(3):
+            run_pipeline(grid_city(6, 6), RunConfig(n_parts=4, pool=pool))
+        stats = pool.segment_stats()
+    assert stats["attaches"] >= 3  # the programs did go through segments
+    assert stats["segments"] == 0
 
 
 def test_shared_pool_replays_only_the_tasks_that_missed_the_segment(monkeypatch):

@@ -4,23 +4,30 @@ The acceptance contract for the distributed layer: a 2-host loopback
 cluster produces jobs bit-identical to the in-process engine, survives a
 SIGKILL'd worker host (the job retries on the survivor and the result is
 still bit-identical), leaks no shared-memory segments, and degrades to
-in-process execution when every host is unreachable.
+in-process execution when every host is unreachable. A superstep program
+installed on a host lives exactly as long as the connection that
+installed it.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bsp import shm
-from repro.errors import TransientJobError
+from repro.bsp.engine import ComputeResult
+from repro.bsp.executors import RemoteExecutor
+from repro.bsp.transport import FrameConnection
+from repro.errors import BSPError, TransientJobError
 from repro.faults import FaultPlan
 from repro.generate.synthetic import random_eulerian
 from repro.jobs import (
@@ -206,6 +213,71 @@ def test_all_hosts_down_degrades_to_in_process(tmp_path, graph):
 def test_host_pool_rejects_empty_hosts(tmp_path):
     with pytest.raises(ValueError, match="at least one worker host"):
         RemoteHostPool(None, GraphCatalog(tmp_path / "cat"))
+
+
+# ---------------------------------------------------------------------------
+# superstep programs on a host: scoped to the installing connection
+# ---------------------------------------------------------------------------
+
+#: Weak references to the tables of every program a host unpickled.
+_INSTALLED_TABLES: list = []
+
+
+class TableProgram:
+    """Module-level so a host can unpickle it; records a weak reference to
+    its table each time a host installs a copy."""
+
+    def __init__(self):
+        self.table = np.arange(1 << 12, dtype=np.int64)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        _INSTALLED_TABLES.append(weakref.ref(self.table))
+
+    def __call__(self, pid, state, messages, rec, superstep):
+        return ComputeResult(state=int(self.table[pid]), halt=True)
+
+
+def test_closed_remote_executor_leaves_no_program_on_the_host(tmp_path):
+    _INSTALLED_TABLES.clear()
+    with WorkerHost(tmp_path / "h") as host:
+        ex = RemoteExecutor([host.address])
+        try:
+            ex.start(TableProgram())
+            out = ex.run_superstep([(pid, None, [], 0) for pid in range(3)])
+        finally:
+            ex.close()
+        assert sorted((pid, res.state) for pid, _, res in out) == [
+            (0, 0), (1, 1), (2, 2)]
+        assert len(_INSTALLED_TABLES) == 1
+        deadline = time.monotonic() + 10
+        while _INSTALLED_TABLES[0]() is not None:
+            assert time.monotonic() < deadline, "host kept the program"
+            time.sleep(0.02)
+            gc.collect()
+
+
+def test_task_without_an_installed_program_is_an_error(tmp_path):
+    with WorkerHost(tmp_path / "h") as host:
+        conn = FrameConnection.open(host.address)
+        try:
+            reply = conn.request({"op": "task", "task": (0, None, [], 0)})
+        finally:
+            conn.close()
+        assert reply["ok"] is False
+        assert "no superstep program" in reply["error"]
+
+        # A coordinator whose connection carries no program fails the
+        # superstep instead of running or replaying anything.
+        ex = RemoteExecutor([host.address])
+        try:
+            ex.start(TableProgram())
+            ex._conns[0].close()
+            ex._conns[0] = FrameConnection.open(host.address)
+            with pytest.raises(BSPError, match="no superstep program"):
+                ex.run_superstep([(0, None, [], 0)])
+        finally:
+            ex.close()
 
 
 # ---------------------------------------------------------------------------

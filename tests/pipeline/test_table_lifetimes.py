@@ -4,9 +4,11 @@ A run's static tables are the level-0 local edge ids, remote-degree tables
 and held half-edge rows (built once by Setup), plus the CSR the Eulerian
 check and the partitioner read. These tests pin who owns each table and
 when it goes: the program drops a partition's level-0 entries once their
-last reader has run, a CSR built for Setup does not outlive Setup, the
-pickled program (what process and remote workers install) carries each
-table once, and a run's traced peak stays within a per-edge budget.
+last reader has run — in the process that ran it, and at commit in a
+coordinator whose partitions ran elsewhere — a CSR built for Setup does
+not outlive Setup, the pickled program and the remote install frame (what
+process and remote workers install) carry each table once, and a run's
+traced peak stays within a per-edge budget.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import tracemalloc
 import numpy as np
 
 from repro.bsp.engine import BSPEngine
+from repro.bsp.executors import RemoteExecutor
+from repro.bsp.transport import encode_frame
 from repro.core.pathmap import FragmentStore
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city
 from repro.graph.graph import Graph
+from repro.jobs.remote import WorkerHost
 from repro.pipeline import Reconstruct, RunConfig, RunContext, Setup, run_pipeline
 
 
@@ -33,6 +38,16 @@ def _setup(graph: Graph, config: RunConfig):
     ctx = RunContext.for_graph(graph, config)
     ctx.store = FragmentStore()
     return ctx, Setup().run(graph, ctx)
+
+
+def _table_bytes(graph: Graph, program) -> int:
+    """The graph's endpoints plus every partition's L_i, remote-degree
+    table and held rows: what a worker must receive once."""
+    return (
+        graph.edge_u.nbytes + graph.edge_v.nbytes
+        + sum(a.nbytes for table in (program.local0, program.rdeg0, program.held0)
+              for a in table.values())
+    )
 
 
 def test_program_drops_each_level0_table_after_its_last_reader():
@@ -78,6 +93,39 @@ def test_deferred_extras_are_dropped_by_the_merge_they_feed():
     assert program.extras == {}
 
 
+def test_remote_coordinator_drops_each_table_at_commit(tmp_path):
+    """The coordinator of a remote run never calls its program, so the
+    compute-time pops never run there; the commit hook drops each table
+    once the superstep that read it has committed."""
+    graph = grid_city(8, 8)
+    ctx, program = _setup(graph, RunConfig(n_parts=4, strategy="proposed"))
+    assert program.extras and program.held0
+    commit = program.make_commit(ctx.store)
+    committed = []
+
+    def on_commit(pid, rec, res, superstep):
+        commit(pid, rec, res, superstep)
+        committed.append((pid, superstep))
+        if superstep == 0:
+            assert pid not in program.local0 and pid not in program.rdeg0
+        else:  # superstep 0 has committed
+            assert program.local0 == program.rdeg0 == {}
+        assert (pid, superstep) not in program.extras
+
+    with WorkerHost(tmp_path / "a") as h1, WorkerHost(tmp_path / "b") as h2:
+        engine = BSPEngine(executor="remote", hosts=[h1.address, h2.address])
+        ctx.final_states, ctx.run_stats = engine.run(
+            {pid: None for pid in range(4)}, program,
+            max_supersteps=len(ctx.tree.levels) + 3, on_commit=on_commit,
+        )
+    assert max(step for _, step in committed) >= 1
+    assert program.local0 == program.rdeg0 == program.held0 == {}
+    assert program.extras == {}
+    Reconstruct().run(graph, ctx)
+    reference = run_pipeline(_fresh(graph), RunConfig(n_parts=4, strategy="proposed"))
+    np.testing.assert_array_equal(ctx.circuit.edge_ids, reference.circuit.edge_ids)
+
+
 def test_setup_keeps_no_csr_it_built():
     graph = _fresh(grid_city(6, 6))
     run_pipeline(graph, RunConfig(n_parts=4))
@@ -94,13 +142,31 @@ def test_pickled_program_carries_each_table_once():
     partition columns, no second copy of the half-edge rows."""
     graph = _fresh(eulerian_rmat(11, avg_degree=8.0, seed=3)[0])
     _, program = _setup(graph, RunConfig(n_parts=8))
-    tables = (
-        graph.edge_u.nbytes + graph.edge_v.nbytes
-        + sum(a.nbytes for table in (program.local0, program.rdeg0, program.held0)
-              for a in table.values())
-    )
+    tables = _table_bytes(graph, program)
     size = len(pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
     assert tables <= size <= tables + (64 << 10)
+
+
+def test_install_frame_carries_each_table_once(tmp_path):
+    """A remote host receives the program as one install frame: every
+    table rides out of band, straight from the program's arrays, beside
+    at most 64 KiB of framing — and that frame is all the coordinator
+    sends a host at start."""
+    graph = _fresh(eulerian_rmat(11, avg_degree=8.0, seed=3)[0])
+    _, program = _setup(graph, RunConfig(n_parts=8))
+    tables = _table_bytes(graph, program)
+    _, total, buffers = encode_frame({"op": "install", "program": program})
+    assert buffers >= tables
+    assert total - buffers <= 64 << 10
+    with WorkerHost(tmp_path / "h") as host:
+        ex = RemoteExecutor([host.address])
+        try:
+            ex.start(program)
+            sent = ex.wire.snapshot()
+        finally:
+            ex.close()
+    assert sent["messages"] == 1
+    assert (sent["bytes_total"], sent["buffer_bytes"]) == (total, buffers)
 
 
 def test_run_peak_stays_within_a_per_edge_budget():
