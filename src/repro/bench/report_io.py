@@ -114,20 +114,9 @@ def context_to_dict(ctx: RunContext) -> dict:
         "n_edges": int(ctx.circuit.n_edges) if ctx.circuit is not None else 0,
         "verified": ctx.verified,
     }
-    store = ctx.store
-    if store is not None:
-        frags = store.all_fragments()
-        out["fragments"] = {
-            "n_fragments": len(frags),
-            "n_paths": sum(1 for f in frags if f.kind == "path"),
-            "n_cycles": sum(1 for f in frags if f.kind == "cycle"),
-            # Resident columnar footprint: packed ItemArray rows still in
-            # memory (spilled bodies excluded) — the data-plane analogue of
-            # the paper's "persist ... to conserve memory" bookkeeping.
-            "n_item_rows": sum(
-                int(f.items.shape[0]) for f in frags if f.items is not None
-            ),
-        }
+    census = ctx.fragment_census()
+    if census is not None:
+        out["fragments"] = census
     return out
 
 

@@ -377,6 +377,20 @@ class FragmentStore:
         """All registered fragments (metadata records)."""
         return list(self._frags.values())
 
+    def census(self) -> dict:
+        """Fragment counts by kind plus the packed ItemArray rows still in
+        memory (spilled bodies excluded) — the data-plane analogue of the
+        paper's "persist ... to conserve memory" bookkeeping."""
+        frags = self.all_fragments()
+        return {
+            "n_fragments": len(frags),
+            "n_paths": sum(1 for f in frags if f.kind == KIND_PATH),
+            "n_cycles": sum(1 for f in frags if f.kind == KIND_CYCLE),
+            "n_item_rows": sum(
+                int(f.items.shape[0]) for f in frags if f.items is not None
+            ),
+        }
+
     def _spill_path(self, fid: int) -> str:
         assert self.spill_dir is not None
         return os.path.join(self.spill_dir, f"frag_{fid}.npy")

@@ -8,26 +8,41 @@ deadheading cost on them.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["bfs_distances", "shortest_path", "bfs_tree", "eccentricity_sample"]
+__all__ = ["bfs_distances", "shortest_path", "bfs_tree", "tree_path",
+           "eccentricity_sample"]
 
 
-def bfs_distances(graph: Graph, source: int, cutoff: int | None = None) -> np.ndarray:
+def bfs_distances(
+    graph: Graph,
+    source: int,
+    cutoff: int | None = None,
+    stop: np.ndarray | None = None,
+    return_parents: bool = False,
+):
     """Hop distance from ``source`` to every vertex (-1 if unreachable).
 
-    ``cutoff`` stops the search beyond that distance (entries stay -1).
+    One vectorized pass per BFS level. ``cutoff`` stops the search beyond
+    that distance (entries stay -1); ``stop`` (a boolean vertex mask) ends
+    it after the first level that reaches a marked vertex. With
+    ``return_parents`` the call returns ``(dist, parent, parent_edge)``:
+    each reached vertex's parent is the first vertex of the previous level
+    — in discovery order, scanning CSR rows in CSR order — with an edge to
+    it, exactly what a FIFO-queue BFS assigns (-1 at the source and where
+    unreached).
     """
     n = graph.n_vertices
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range")
-    offsets, targets, _ = graph.csr
+    offsets, targets, eids = graph.csr
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
+    if return_parents:
+        parent = np.full(n, -1, dtype=np.int64)
+        parent_edge = np.full(n, -1, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
@@ -35,17 +50,25 @@ def bfs_distances(graph: Graph, source: int, cutoff: int | None = None) -> np.nd
             break
         starts = offsets[frontier]
         counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
         idx = np.repeat(starts, counts) + _ranges(counts)
-        neigh = targets[idx]
-        new = np.unique(neigh[dist[neigh] == -1])
+        fresh = np.flatnonzero(dist[targets[idx]] == -1)
+        # First sighting of each new vertex, in frontier order x CSR
+        # order: the order a FIFO queue discovers (and parents) them.
+        new, first = np.unique(targets[idx[fresh]], return_index=True)
         if new.size == 0:
             break
+        order = np.argsort(first)
+        new, hit = new[order], fresh[first[order]]
         d += 1
         dist[new] = d
+        if return_parents:
+            parent[new] = np.repeat(frontier, counts)[hit]
+            parent_edge[new] = eids[idx[hit]]
         frontier = new
+        if stop is not None and stop[new].any():
+            break
+    if return_parents:
+        return dist, parent, parent_edge
     return dist
 
 
@@ -64,27 +87,24 @@ def bfs_tree(graph: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(parent_vertex, parent_edge)`` arrays (-1 where unreachable or
     at the source); ``parent_edge[v]`` is the edge id used to first reach
-    ``v``.
+    ``v`` (see :func:`bfs_distances`).
     """
-    n = graph.n_vertices
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range")
-    offsets, targets, eids = graph.csr
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[source] = True
-    dq = deque([source])
-    while dq:
-        x = dq.popleft()
-        for i in range(offsets[x], offsets[x + 1]):
-            t = int(targets[i])
-            if not seen[t]:
-                seen[t] = True
-                parent[t] = x
-                parent_edge[t] = int(eids[i])
-                dq.append(t)
+    _, parent, parent_edge = bfs_distances(graph, source, return_parents=True)
     return parent, parent_edge
+
+
+def tree_path(parent: np.ndarray, parent_edge: np.ndarray,
+              target: int) -> tuple[list[int], list[int]]:
+    """The BFS-tree path from the root to ``target`` as ``(vertices,
+    edge_ids)`` — ``vertices`` has one more entry than ``edge_ids``."""
+    verts = [int(target)]
+    eids: list[int] = []
+    while parent[verts[-1]] != -1:
+        eids.append(int(parent_edge[verts[-1]]))
+        verts.append(int(parent[verts[-1]]))
+    verts.reverse()
+    eids.reverse()
+    return verts, eids
 
 
 def shortest_path(graph: Graph, source: int, target: int) -> tuple[list[int], list[int]]:
@@ -92,23 +112,18 @@ def shortest_path(graph: Graph, source: int, target: int) -> tuple[list[int], li
 
     Raises ``ValueError`` if ``target`` is unreachable. ``vertices`` has one
     more entry than ``edge_ids``; a source==target query returns
-    ``([source], [])``.
+    ``([source], [])``. The search stops at ``target``'s level; the path is
+    the one :func:`bfs_tree` gives.
     """
     if source == target:
         return [source], []
-    parent, parent_edge = bfs_tree(graph, source)
-    if parent[target] == -1:
+    stop = np.zeros(graph.n_vertices, dtype=bool)
+    stop[target] = True
+    dist, parent, parent_edge = bfs_distances(graph, source, stop=stop,
+                                              return_parents=True)
+    if dist[target] == -1:
         raise ValueError(f"no path from {source} to {target}")
-    verts = [target]
-    eids: list[int] = []
-    cur = target
-    while cur != source:
-        eids.append(int(parent_edge[cur]))
-        cur = int(parent[cur])
-        verts.append(cur)
-    verts.reverse()
-    eids.reverse()
-    return verts, eids
+    return tree_path(parent, parent_edge, target)
 
 
 def eccentricity_sample(graph: Graph, seeds, cutoff: int | None = None) -> int:

@@ -18,8 +18,10 @@ What crosses the pipe stays small:
   (:meth:`~repro.jobs.catalog.GraphCatalog.share`) — workers attach the
   edge arrays zero-copy and fall back to the catalog NPZ only when the
   segment is gone;
-* **up**: the :class:`~repro.scenarios.base.ScenarioResult` (or a typed
-  failure), plus the worker-side pass history the parent replays into the
+* **up**: the compacted :class:`~repro.scenarios.base.ScenarioResult`
+  (walks, metrics and per-sub-run reports; see
+  :meth:`~repro.scenarios.base.ScenarioResult.compact`) or a typed
+  failure, plus the worker-side pass history the parent replays into the
   job record.
 
 Cancellation preserves the PR 5 semantics without sharing a token object:
@@ -135,7 +137,9 @@ def _strip_config(config):
 
 
 def _scrub_result(result) -> None:
-    """Strip process-local state from a result about to cross the pipe."""
+    """Compact a result about to cross the pipe or socket (the same result
+    an in-process job keeps) and strip its process-local state."""
+    result.compact()
     result.config = _strip_config(result.config)
     for sub in result.sub_runs:
         sub.context.config = _strip_config(sub.context.config)
@@ -152,6 +156,12 @@ def _attach_graph(descriptor: dict):
 def _run_spec(spec: dict, flags, slot: int, catalog, graph_cache: dict,
               heartbeats=None) -> dict:
     """Execute one job spec; always returns a terminal-state dict.
+
+    Shared by forked dispatcher workers and remote job hosts. A DONE dict
+    carries the compacted result — the same walks, metrics and reports an
+    in-process job keeps — never the run's fragment store, partitioned
+    graph or final states, so what crosses the pipe or socket is about
+    the size of the walks.
 
     Failure dicts carry ``transient``: ``True`` marks infrastructure
     failures (injected faults, shm trouble) the parent may retry; job

@@ -172,11 +172,15 @@ class JobEngine:
         them).
     keep_results:
         How many terminal jobs keep their in-memory
-        :class:`~repro.scenarios.base.ScenarioResult`. ``None`` (default)
-        keeps all — right for batches and tests, wrong for a server: under
-        sustained traffic every finished job would pin its full result in
-        RAM forever. ``repro-euler serve`` bounds this; evicted results
-        remain available through the durable artifact JSON.
+        :class:`~repro.scenarios.base.ScenarioResult`. Every dispatcher
+        keeps the compacted result
+        (:meth:`~repro.scenarios.base.ScenarioResult.compact`): the walks,
+        metrics and per-sub-run reports, not the fragment store,
+        partitioned graph or final states — so a resident result costs
+        about its walks. ``None`` (default) keeps all — right for batches
+        and tests, wrong for a server, where the walks of every job ever
+        run would stay in RAM. ``repro-euler serve`` bounds this; evicted
+        results remain available through the durable artifact JSON.
     retention:
         How many **terminal** jobs stay in the in-memory registry
         (``None``: all). Evicted jobs answer :meth:`job_summary` /
@@ -1025,6 +1029,9 @@ class JobEngine:
             recorder = SpanRecorder()
             with use_registry(self.metrics), use_trace(job.trace_id), recorder:
                 result = run_scenario(graph, job.scenario, config)
+            # Keep (and write) what forked and remote jobs ship home: the
+            # walks and reports, not the run's bookkeeping.
+            result.compact()
             job.record_pass(
                 "run_scenario", time.perf_counter() - t0,
                 executor=config.executor_name,

@@ -181,6 +181,34 @@ class RunContext:
     phase3_seconds: float = 0.0
     verified: bool = False
 
+    #: The fragment-store census, recorded by :meth:`compact` before it
+    #: drops the store (``None`` while the store is live). It serializes as
+    #: the artifact's existing ``fragments`` section, so the layout (and
+    #: ``SCHEMA_VERSION``) is unchanged.
+    fragments: dict | None = None
+
+    def fragment_census(self) -> dict | None:
+        """Fragment counts and resident item rows, live or as recorded."""
+        return self.store.census() if self.store is not None else self.fragments
+
+    def compact(self) -> "RunContext":
+        """Drop the run's bookkeeping; keep what a finished run's readers use.
+
+        Keeps the config, ``run_stats``, ``tree``, the timings, the circuit
+        and ``verified`` — everything :attr:`report` and
+        :func:`~repro.bench.report_io.context_to_dict` read — and the
+        fragment census. Drops the fragment store, the partitioned graph
+        (and the input graph it points to), the meta-graph and the final
+        BSP states, which no reader of a finished run touches. In place;
+        returns ``self``.
+        """
+        self.fragments = self.fragment_census()
+        self.store = None
+        self.partitioned = None
+        self.metagraph = None
+        self.final_states = {}
+        return self
+
     @property
     def report(self) -> ExecutionReport:
         """The figure-series view of this run (assembled from the fields)."""

@@ -113,6 +113,19 @@ class ScenarioResult:
         """Total partition budget spent across all sub-runs."""
         return sum(s.n_parts for s in self.sub_runs)
 
+    def compact(self) -> "ScenarioResult":
+        """Keep the walks, metrics and per-sub-run reports; drop the rest.
+
+        What a finished job retains: every sub-run's context is compacted
+        (:meth:`RunContext.compact`) and its scenario-private ``meta``
+        (id maps, duplicate-edge origins) dropped. The serialized artifact
+        (:func:`~repro.bench.report_io.scenario_to_dict`) is unchanged. In
+        place; returns ``self``.
+        """
+        self.sub_runs = [replace(s, context=s.context.compact(), meta={})
+                         for s in self.sub_runs]
+        return self
+
 
 class Scenario(ABC):
     """A workload expressed as reduction + postprocess over the pipeline."""

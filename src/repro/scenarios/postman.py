@@ -18,7 +18,9 @@ from ..core.circuit import EulerCircuit, check_step_incidence
 from ..errors import DisconnectedGraphError, InvalidCircuitError
 from ..graph.graph import Graph
 from ..graph.properties import n_edge_components, odd_vertices
-from ..graph.traversal import bfs_distances, shortest_path
+# ``shortest_path`` stays importable from here: benchmarks/e2e/tracing.py
+# wraps this module's BFS names.
+from ..graph.traversal import bfs_distances, shortest_path, tree_path  # noqa: F401
 from ..pipeline import RunConfig, RunContext
 from .base import Scenario, SubProblem, register_scenario
 
@@ -31,25 +33,40 @@ __all__ = [
 ]
 
 
-def greedy_odd_matching(graph: Graph, odd: np.ndarray) -> list[tuple[int, int]]:
-    """Nearest-neighbour pairing of odd vertices by BFS distance."""
-    remaining = [int(v) for v in odd]
-    pairs: list[tuple[int, int]] = []
-    while remaining:
-        a = remaining.pop(0)
-        dist = bfs_distances(graph, a)
-        best_i, best_d = None, None
-        for i, b in enumerate(remaining):
-            d = int(dist[b])
-            if d >= 0 and (best_d is None or d < best_d):
-                best_i, best_d = i, d
-        if best_i is None:
+def greedy_odd_matching(
+    graph: Graph, odd: np.ndarray
+) -> list[tuple[list[int], list[int]]]:
+    """Nearest-neighbour pairing of odd vertices, one shortest path per pair.
+
+    Each still-unmatched odd vertex, in ``odd`` order, pairs with the
+    nearest unmatched one (ties to the earliest in ``odd`` order). One BFS
+    per pair finds it: the search stops at the first level holding an
+    unmatched odd vertex, and the path is read off that BFS's parents
+    (:func:`~repro.graph.traversal.bfs_tree`'s). Returns the paths as
+    ``(vertices, edge_ids)`` in matching order; a pair is a path's
+    endpoints.
+    """
+    odd = np.asarray(odd, dtype=np.int64)
+    unmatched = np.zeros(graph.n_vertices, dtype=bool)
+    unmatched[odd] = True
+    paths: list[tuple[list[int], list[int]]] = []
+    for a in odd.tolist():
+        if not unmatched[a]:
+            continue
+        unmatched[a] = False
+        dist, parent, parent_edge = bfs_distances(
+            graph, a, stop=unmatched, return_parents=True
+        )
+        reached = odd[unmatched[odd] & (dist[odd] >= 0)]
+        if reached.size == 0:
             raise DisconnectedGraphError(
                 f"odd vertex {a} cannot reach any other odd vertex",
                 num_components=n_edge_components(graph),
             )
-        pairs.append((a, remaining.pop(best_i)))
-    return pairs
+        b = int(reached[0])
+        unmatched[b] = False
+        paths.append(tree_path(parent, parent_edge, b))
+    return paths
 
 
 def map_edge_ids(
@@ -98,12 +115,10 @@ def eulerize_plan(graph: Graph) -> dict:
     dup_u: list[int] = []
     dup_v: list[int] = []
     dup_orig: list[int] = []  # original eid each duplicate revisits
-    for a, b in greedy_odd_matching(graph, odd):
-        verts, eids = shortest_path(graph, a, b)
-        for (x, y), e in zip(zip(verts[:-1], verts[1:]), eids):
-            dup_u.append(x)
-            dup_v.append(y)
-            dup_orig.append(e)
+    for verts, eids in greedy_odd_matching(graph, odd):
+        dup_u += verts[:-1]
+        dup_v += verts[1:]
+        dup_orig += eids
     return {
         "dup_u": np.asarray(dup_u, dtype=np.int64),
         "dup_v": np.asarray(dup_v, dtype=np.int64),

@@ -38,10 +38,13 @@ def test_fig4_structure():
     assert out["rows"]
 
 
-def test_fig7_structure(small_run):
-    out = fig7_phase1_complexity(names=("G20k/P2",), do_print=False)
-    g = out["graphs"]["G20k/P2"]
-    assert g["points"]
+def test_fig7_structure():
+    # A P8 run gives 15 Phase-1 points (8 leaves + 4 + 2 + 1) of up to
+    # ~50 ms: one ~20 ms scheduler stall cannot sink the fit, as it can
+    # with a P2 run's 3 points of a few ms each.
+    out = fig7_phase1_complexity(names=("G50k/P8",), do_print=False)
+    g = out["graphs"]["G50k/P8"]
+    assert len(g["points"]) >= 8
     assert g["pearson_r"] > 0.5  # linear relationship
     assert g["slope_sec_per_unit"] > 0
 

@@ -94,3 +94,52 @@ def test_property_triangle_inequality(seed):
     for _, u, v in g.iter_edges():
         if d[u] >= 0 and d[v] >= 0:
             assert abs(d[u] - d[v]) <= 1
+
+
+def _queue_bfs_tree(g, source):
+    """Reference FIFO-queue BFS: parents in discovery order x CSR order."""
+    from collections import deque
+
+    offsets, targets, eids = g.csr
+    parent = np.full(g.n_vertices, -1, dtype=np.int64)
+    parent_edge = np.full(g.n_vertices, -1, dtype=np.int64)
+    seen = np.zeros(g.n_vertices, dtype=bool)
+    seen[source] = True
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for i in range(offsets[x], offsets[x + 1]):
+            t = int(targets[i])
+            if not seen[t]:
+                seen[t] = True
+                parent[t], parent_edge[t] = x, int(eids[i])
+                queue.append(t)
+    return parent, parent_edge
+
+
+def test_bfs_tree_matches_fifo_queue():
+    """The level-vectorized parents equal a FIFO queue's, on multigraphs
+    with self-loops, parallel edges and unreachable vertices."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 61))
+        m = int(rng.integers(1, 3 * n))
+        g = Graph.from_edges(n, rng.integers(0, n, size=(m, 2)).tolist())
+        source = int(rng.integers(0, n))
+        parent, parent_edge = bfs_tree(g, source)
+        ref_parent, ref_edge = _queue_bfs_tree(g, source)
+        np.testing.assert_array_equal(parent, ref_parent, err_msg=str(seed))
+        np.testing.assert_array_equal(parent_edge, ref_edge, err_msg=str(seed))
+
+
+def test_bfs_stop_ends_at_first_marked_level():
+    g = cycle_graph(10)
+    stop = np.zeros(10, dtype=bool)
+    stop[[3, 6]] = True
+    d, parent, parent_edge = bfs_distances(g, 0, stop=stop,
+                                           return_parents=True)
+    assert d.max() == 3 and d[3] == 3 and d[7] == 3 and d[6] == -1
+    full_parent, full_edge = bfs_tree(g, 0)
+    reached = d >= 0
+    np.testing.assert_array_equal(parent[reached], full_parent[reached])
+    np.testing.assert_array_equal(parent_edge[reached], full_edge[reached])

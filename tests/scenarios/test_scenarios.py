@@ -233,3 +233,38 @@ def test_postman_walk_covers_grid():
     assert bool((counts >= 1).all())
     assert walk.is_closed
     assert res.metrics["n_revisits"] == walk.n_edges - g.n_edges
+
+
+#: sha256 (first 16 hex digits) over the plan's little-endian int64
+#: ``dup_u``, ``dup_v``, ``dup_orig`` bytes plus ``n_odd_vertices``, for the
+#: largest component of ``rmat_graph(scale, avg_degree, seed)``, recorded
+#: with the reference matching (a full BFS per odd vertex, then a
+#: FIFO-queue ``bfs_tree`` per pair). Catalogs persist plans, so these
+#: must not change.
+_PLAN_DIGESTS = {
+    (8, 3.0, 1): "ff94ad307f524220",
+    (8, 3.0, 2): "2856feb9625bd68c",
+    (9, 3.0, 3): "9d061527978f9969",
+    (9, 2.5, 4): "d4bf613e266f855f",
+    (10, 3.0, 5): "eada56b1f2f4d59c",
+    (10, 4.0, 6): "3e984d6d65270664",
+    (12, 3.0, 1): "d202b16775646b03",
+}
+
+
+@pytest.mark.parametrize("scale,avg_degree,seed", sorted(_PLAN_DIGESTS))
+def test_eulerize_plan_is_pinned(scale, avg_degree, seed):
+    import hashlib
+
+    from repro.generate.eulerize import largest_component
+    from repro.generate.rmat import rmat_graph
+    from repro.scenarios.postman import eulerize_plan
+
+    g = largest_component(rmat_graph(scale, avg_degree=avg_degree,
+                                     seed=seed))[0]
+    plan = eulerize_plan(g)
+    h = hashlib.sha256()
+    for name in ("dup_u", "dup_v", "dup_orig"):
+        h.update(np.ascontiguousarray(plan[name], dtype="<i8").tobytes())
+    h.update(str(plan["n_odd_vertices"]).encode())
+    assert h.hexdigest()[:16] == _PLAN_DIGESTS[(scale, avg_degree, seed)]
