@@ -232,21 +232,53 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
 #: Walk-table cache: a serving workload replays identical partition
 #: topologies across jobs on the same cataloged graph (within one run every
 #: (partition, level) topology is walked once). Tables are content-keyed
-#: (sha256 of the topology columns), kept per-thread (no locks on the hot
-#: path; forked workers each grow their own) and LRU-evicted to stay within
-#: this many bytes of table arrays per thread — dense tables are O(id
-#: space), not O(edges), so the bound is on bytes. One table may take at
-#: most a sixteenth of it: a repeat run hits only if the tables of all its
-#: Phase-1 runs (15 at 8 partitions) are still held when it gets there, so
-#: a bigger table would be evicted before its next reader and only pin
-#: memory while its own run goes on. Disable with
-#: ``REPRO_PHASE1_TABLE_CACHE=0``.
+#: (sha256 of the topology columns) in one LRU per process, shared by every
+#: thread (tables are immutable) and LRU-evicted to stay within this many
+#: bytes of table arrays — dense tables are O(id space), not O(edges), so
+#: the bound is on bytes. A table is admitted on its *second* sighting
+#: only: a one-shot topology (a distinct graph, a mutation's dirty
+#: partitions) never takes a slot from the tables that are read again.
+#: One table may take at most a sixteenth of the budget: a repeat run hits
+#: only if the tables of all its Phase-1 runs (15 at 8 partitions) are
+#: still held when it gets there, so a bigger table would be evicted
+#: before its next reader and only pin memory while its own run goes on.
+#: Disable with ``REPRO_PHASE1_TABLE_CACHE=0``.
 _TABLE_CACHE_BYTES = 16 << 20
-_tls = threading.local()
+#: Digests the admission filter remembers (16-byte prefixes, oldest out).
+_SEEN_CAP = 4096
+
+
+class _TableCache:
+    """The process's walk tables and the admission filter's sightings.
+
+    ``lock`` guards dict operations only; tables are built outside it.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.tables: OrderedDict[bytes, _WalkTables] = OrderedDict()
+        self.seen: OrderedDict[bytes, None] = OrderedDict()
+        self.held = 0
+
+
+_cache = _TableCache()
+
+
+def _reset_cache() -> None:
+    """Start an empty cache with a fresh lock.
+
+    Runs in every forked child: a fork may land while another thread
+    holds the lock, which would never be released in the child.
+    """
+    global _cache
+    _cache = _TableCache()
+
+
+os.register_at_fork(after_in_child=_reset_cache)
 
 
 def _walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
-    """Cached :func:`_build_walk_tables` (content-addressed, per-thread)."""
+    """Cached :func:`_build_walk_tables` (content-addressed, per-process)."""
     m = int(edges.shape[0])
     entry_cap = _TABLE_CACHE_BYTES // 16
     # The two slot tables alone take 32 bytes per edge.
@@ -260,21 +292,39 @@ def _walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     digest.update(np.ascontiguousarray(edges[:, :2]).tobytes())
     digest.update(np.ascontiguousarray(rdeg).tobytes())
     key = digest.digest()
-    cache = getattr(_tls, "tables", None)
-    if cache is None:
-        cache = _tls.tables = OrderedDict()
-    tables = cache.get(key)
+    tag = key[:16]
+    cache = _cache
+    with cache.lock:
+        tables = cache.tables.get(key)
+        if tables is not None:
+            cache.tables.move_to_end(key)
+        else:
+            admit = tag in cache.seen
+            if admit:
+                del cache.seen[tag]
+            else:
+                cache.seen[tag] = None
+                if len(cache.seen) > _SEEN_CAP:
+                    cache.seen.popitem(last=False)
     if tables is not None:
-        cache.move_to_end(key)
         _cache_counter("hit").inc()
         return tables
     tables = _build_walk_tables(edges, rdeg)
     _cache_counter("miss").inc()
-    if tables.nbytes <= entry_cap:
-        cache[key] = tables
-        held = sum(t.nbytes for t in cache.values())
-        while held > _TABLE_CACHE_BYTES:
-            held -= cache.popitem(last=False)[1].nbytes
+    if admit and tables.nbytes <= entry_cap:
+        with cache.lock:
+            # A racing thread may have admitted the same topology first.
+            kept = cache.tables.setdefault(key, tables)
+            if kept is tables:
+                cache.held += tables.nbytes
+                while cache.held > _TABLE_CACHE_BYTES:
+                    cache.held -= cache.tables.popitem(last=False)[1].nbytes
+            held = cache.held
+        ambient().gauge(
+            "repro_walk_cache_bytes",
+            "Bytes of Phase-1 walk tables held in this process's cache",
+        ).set(held)
+        return kept
     return tables
 
 
@@ -347,7 +397,8 @@ def run_phase1(
     rdeg = remote_deg_table(remote_degree)
 
     # See _build_walk_tables for the layout; _walk_tables reuses the tables
-    # when this topology was walked before (same graph across served jobs).
+    # once this topology has been walked twice (same graph across served
+    # jobs).
     t = _walk_tables(edges, rdeg)
     n_ob, n_eb = int(t.ob.size), int(t.eb.size)
     if validate and n_ob % 2 != 0:

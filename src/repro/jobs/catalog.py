@@ -8,7 +8,11 @@ per request. The catalog amortizes it:
   as *uncompressed* NPZ under ``<root>/graphs/``, so repeat loads
   memory-map the edge arrays (``load_npz(..., mmap=True)``) instead of
   re-parsing text or copying buffers. Loaded graphs are additionally kept
-  in an in-process table, so the steady-state hit is a dict lookup.
+  in an in-process table, so the steady-state hit is a dict lookup. That
+  table (with the derived-artifact tables below) holds only what the
+  process reads again: roots, and a delta version while it is pinned or
+  has no child. A superseded version leaves memory (and shared memory)
+  and a later :meth:`GraphCatalog.get` rebuilds it through its chain.
 * **Derived artifacts** are cached per graph hash under
   ``<root>/derived/<key>/``: partition maps keyed by ``(partitioner,
   n_parts, seed)`` and postman eulerization plans. Entries carry the full
@@ -252,7 +256,9 @@ class GraphCatalog:
         Hot path: only in-memory state is touched on a hit — the last-used
         ordering persists to ``index.json`` on the next put/eviction, not
         here (approximate durability of LRU order is fine; a whole-index
-        rewrite per request is not).
+        rewrite per request is not). An unmaterialized delta version is
+        rebuilt from its nearest ancestor in memory or on disk, one
+        ``delta_rebuilds`` per call.
         """
         with self._lock:
             g = self._graphs.get(key)
@@ -260,25 +266,62 @@ class GraphCatalog:
                 self.stats["graph_hits"] += 1
                 self._touch(key)
                 return g
-            path = self._graph_path(key)
             if key not in self._index:
                 raise KeyError(f"unknown graph key {key!r}")
-            if not path.exists():
-                # Unmaterialized delta child: rebuild from the chain.
-                parent = self._index[key].get("delta_of")
-                if parent is None:
+            chain, k = [], key
+            while g is None:
+                path = self._graph_path(k)
+                if path.exists():
+                    self.stats["graph_misses"] += 1
+                    # The archive was written from a validated Graph at
+                    # put(); skip the range re-scan so the mapping stays lazy.
+                    g, _ = load_npz(path, mmap=True, validate=False)
+                    self._live[k] = weakref.ref(g)
+                    self._keep(k, g)
+                    break
+                # Unmaterialized delta version: rebuild from the chain.
+                chain.append(k)
+                k = self._index[k].get("delta_of")
+                if k is None or k not in self._index or k in chain:
                     raise KeyError(f"unknown graph key {key!r}")
-                g = self.load_delta(key).apply(self.get(parent))
+                g = self._graphs.get(k)
+            for k in reversed(chain):
+                g = self.load_delta(k).apply(g)
+                self._keep(k, g)
+            if chain:
                 self.stats["delta_rebuilds"] += 1
-            else:
-                self.stats["graph_misses"] += 1
-                # The archive was written from a validated Graph at put();
-                # skip the range re-scan so the mapping stays lazy.
-                g, _ = load_npz(path, mmap=True, validate=False)
-            self._graphs[key] = g
-            self._live[key] = weakref.ref(g)
+                self._live[key] = weakref.ref(g)
             self._touch(key)
             return g
+
+    def _hot(self, key: str) -> bool:
+        """Whether ``key``'s graph and derived tables stay in memory.
+
+        Roots always do. A delta version does while it is pinned or has no
+        child: once superseded and released, nothing reads it again unless
+        asked by key, and :meth:`get` can rebuild it through its chain.
+        """
+        entry = self._index.get(key)
+        if entry is None or entry.get("delta_of") is None or key in self._pins:
+            return True
+        return not any(e.get("delta_of") == key for e in self._index.values())
+
+    def _keep(self, key: str, graph: Graph) -> None:
+        if self._hot(key):
+            self._graphs.setdefault(key, graph)
+
+    def _forget(self, key: str) -> None:
+        """Drop ``key`` from memory and shared memory (disk is untouched).
+
+        Besides eviction, runs when a version stops being :meth:`_hot`:
+        when it gains a child and when its last pin is released.
+        """
+        self._graphs.pop(key, None)
+        self._plans.pop(key, None)
+        for ck in [c for c in self._partitions if c[0] == key]:
+            self._partitions.pop(ck)
+        if self._segstore is not None:
+            self._segstore.unpublish(key)
 
     def export_bytes(self, key: str) -> bytes:
         """The raw NPZ bytes of a cataloged graph (for host provisioning).
@@ -344,8 +387,8 @@ class GraphCatalog:
             count = self._pins.get(key, 0) - 1
             if count > 0:
                 self._pins[key] = count
-            else:
-                self._pins.pop(key, None)
+            elif self._pins.pop(key, None) is not None and not self._hot(key):
+                self._forget(key)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -383,7 +426,9 @@ class GraphCatalog:
         its true content hash, but **only the delta NPZ** is persisted
         (``deltas/<child>.npz`` plus a ``delta_of`` index back-pointer) —
         the full child archive is written lazily by :meth:`materialize`.
-        Idempotent: re-applying the same delta lands on the same key.
+        The base, now superseded, leaves memory unless pinned (a root
+        stays). Idempotent: re-applying the same delta lands on the same
+        key.
         """
         from ..deltas.delta import GraphDelta
 
@@ -400,9 +445,9 @@ class GraphCatalog:
             self.stats["mutations"] += 1
             if key in self._index:
                 self._touch(key)
-                self._graphs.setdefault(key, child)
                 if pin:
                     self._pins[key] = self._pins.get(key, 0) + 1
+                self._keep(key, child)
                 return key
             dpath = self._delta_path(key)
             dpath.write_bytes(delta.to_bytes())
@@ -419,6 +464,8 @@ class GraphCatalog:
             self._live[key] = weakref.ref(child)
             if pin:
                 self._pins[key] = self._pins.get(key, 0) + 1
+            if not self._hot(base_key):
+                self._forget(base_key)
             self._evict_to_budget(protect=key)
             self._save_index()
         return key
@@ -562,7 +609,8 @@ class GraphCatalog:
                 "n_vertices": int(meta["n_vertices"]),
                 "n_edges": int(meta["n_edges"]),
             }
-            self._partitions[ck] = entry
+            if self._hot(key):
+                self._partitions[ck] = entry
             return entry
 
     def _extended_partition(self, key: str, meta: dict, partitioner: str,
@@ -615,7 +663,8 @@ class GraphCatalog:
                 plan = compute_plan(self.get(key))
                 with atomic_write(path, suffix=".npz") as fh:
                     np.savez(fh, **plan)
-            self._plans[key] = plan
+            if self._hot(key):
+                self._plans[key] = plan
             return plan
 
     def derived_for(self, key: str, config, scenario: str) -> dict:
@@ -716,13 +765,8 @@ class GraphCatalog:
         # Drop the catalog's own strong reference *before* probing the
         # weakref: what's left alive after this pop is exactly the set of
         # in-flight users still reading through the graph's mmap.
-        self._graphs.pop(key, None)
-        self._plans.pop(key, None)
-        for ck in [c for c in self._partitions if c[0] == key]:
-            self._partitions.pop(ck)
+        self._forget(key)
         self._index.pop(key, None)
-        if self._segstore is not None:
-            self._segstore.unpublish(key)
         self.stats["evictions"] += 1
         ref = self._live.pop(key, None)
         live = ref() if ref is not None else None

@@ -1442,6 +1442,8 @@ class JobEngine:
         m.counter("repro_walk_cache_events_total",
                   "Phase-1 walk-table cache lookups by result",
                   labelnames=("result",))
+        m.gauge("repro_walk_cache_bytes",
+                "Bytes of Phase-1 walk tables held in this process's cache")
         m.counter("repro_dispatcher_respawns_total",
                   "Worker respawns / host failures charged to the breaker",
                   labelnames=("pool",))

@@ -86,6 +86,7 @@ REQUIRED_FAMILIES = (
     "repro_wire_messages_total",
     "repro_wire_bytes_total",
     "repro_walk_cache_events_total",
+    "repro_walk_cache_bytes",
     "repro_dispatcher_respawns_total",
     "repro_breaker_open",
 )

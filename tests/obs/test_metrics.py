@@ -256,6 +256,7 @@ def test_required_families_is_a_stable_schema():
         "repro_wire_messages_total",
         "repro_wire_bytes_total",
         "repro_walk_cache_events_total",
+        "repro_walk_cache_bytes",
         "repro_dispatcher_respawns_total",
         "repro_breaker_open",
     }
