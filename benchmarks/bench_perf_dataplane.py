@@ -10,10 +10,6 @@ R-MAT workloads:
 * process backend — the same, plus the serialization share
   ``(copy_source + copy_sink) / compute``: the fraction of user compute the
   process backend spends pickling partition state across the worker boundary;
-* process backend with ``transport="shm"`` — the same run with superstep
-  state crossing the worker boundary as shared-memory segment descriptors
-  instead of pickled array bytes, recorded next to the pickle numbers as a
-  ``copy_reduction_vs_pickle`` ratio;
 * phase-1 walk-table cache — serial superstep wall with the content-hash
   table cache warm versus force-disabled (``REPRO_PHASE1_TABLE_CACHE=0``),
   the repeated-serve scenario the cache exists for;
@@ -58,7 +54,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from repro.bench.report_io import SCHEMA_VERSION  # noqa: E402
-from repro.bsp import shm  # noqa: E402
 from repro.bsp.accounting import CAT_COPY_SINK, CAT_COPY_SRC  # noqa: E402
 from repro.core import find_euler_circuit  # noqa: E402
 from repro.generate.eulerize import eulerian_rmat  # noqa: E402
@@ -120,7 +115,7 @@ def calibration_seconds(repeats: int = 3) -> float:
 
 
 def _measure_once(g, spec: BenchSpec, executor: str, workers: int,
-                  transport: str | None = None, hosts=None) -> dict:
+                  hosts=None) -> dict:
     t0 = time.perf_counter()
     res = find_euler_circuit(
         g,
@@ -129,7 +124,6 @@ def _measure_once(g, spec: BenchSpec, executor: str, workers: int,
         seed=0,
         executor=executor,
         engine_workers=workers,
-        transport=transport,
         hosts=hosts,
         verify=False,
     )
@@ -168,15 +162,6 @@ def measure(spec: BenchSpec, repeats: int) -> dict:
         runs = [_measure_once(g, spec, executor, workers) for _ in range(repeats)]
         best = min(runs, key=lambda r: r["superstep_wall"])
         out[executor] = best
-    if shm.shm_available():
-        runs = [_measure_once(g, spec, "process", spec.workers, transport="shm")
-                for _ in range(repeats)]
-        best = min(runs, key=lambda r: r["superstep_wall"])
-        pickle_copy = out["process"]["copy_seconds"]
-        best["copy_reduction_vs_pickle"] = (
-            1.0 - best["copy_seconds"] / pickle_copy if pickle_copy else 0.0
-        )
-        out["process_shm"] = best
     out["phase1_cache"] = _phase1_cache_delta(g, spec, repeats)
     out["remote_loopback"] = _remote_loopback(g, spec, repeats)
     return out
@@ -312,28 +297,6 @@ def check(spec: BenchSpec, repeats: int, committed: Path, tolerance: float,
           f"(limit {limit:.3f}s, +{tolerance:.0%}): {verdict}")
     print(f"{spec.name}: process copy share {fresh['process']['copy_share']:.3f} "
           f"(committed {ref['process']['copy_share']:.3f})")
-    pshm = fresh.get("process_shm")
-    if pshm is not None:
-        # The reduction ratio is machine-independent, so it gates directly
-        # instead of through the calibration scale — but only when the
-        # pickle copy is big enough to measure (on the smoke workload the
-        # per-segment fixed cost dominates ~1ms of copy, and the ratio is
-        # noise; the ``smoke`` run still pins bit-parity and leak-freedom
-        # through the shm run itself).
-        reduction = pshm["copy_reduction_vs_pickle"]
-        pickle_copy = fresh["process"]["copy_seconds"]
-        if pickle_copy >= 0.05:
-            shm_ok = reduction >= 0.5
-            ok &= shm_ok
-            print(f"{spec.name}: shm transport copy_seconds "
-                  f"{pshm['copy_seconds']:.4f}s vs pickle "
-                  f"{pickle_copy:.4f}s ({reduction:.0%} reduction, "
-                  f"floor 50%): {'OK' if shm_ok else 'REGRESSION'}")
-        else:
-            print(f"{spec.name}: shm transport copy_seconds "
-                  f"{pshm['copy_seconds']:.4f}s vs pickle "
-                  f"{pickle_copy:.4f}s (workload too small to gate "
-                  "the ratio)")
     cache = fresh.get("phase1_cache")
     if cache is not None:
         print(f"{spec.name}: phase-1 table cache warm "
@@ -385,11 +348,6 @@ def main(argv=None) -> int:
     print(f"{spec.name} [{args.label}]: serial superstep_wall "
           f"{entry['serial']['superstep_wall']:.3f}s; process copy share "
           f"{entry['process']['copy_share']:.3f} -> {args.output}")
-    if "process_shm" in entry:
-        print(f"{spec.name} [{args.label}]: shm transport copy_seconds "
-              f"{entry['process_shm']['copy_seconds']:.4f}s "
-              f"({entry['process_shm']['copy_reduction_vs_pickle']:.0%} "
-              "below pickle)")
     print(f"{spec.name} [{args.label}]: phase-1 cache saves "
           f"{entry['phase1_cache']['saved_seconds']:.3f}s serial "
           "superstep wall")

@@ -25,13 +25,7 @@ from .executors import (
     make_executor,
     resolve_executor_name,
 )
-from .transport import (
-    TRANSPORTS,
-    StaticPlacement,
-    parse_hosts,
-    resolve_transport,
-    wire_stats,
-)
+from .transport import StaticPlacement, parse_hosts, wire_stats
 from .programs import bsp_connected_components, bsp_degree_histogram
 from .messages import MailRouter
 from .vertex_engine import VertexBSPEngine, VertexComputeResult, VertexRunStats
@@ -47,10 +41,8 @@ __all__ = [
     "SharedPool",
     "make_executor",
     "resolve_executor_name",
-    "TRANSPORTS",
     "StaticPlacement",
     "parse_hosts",
-    "resolve_transport",
     "wire_stats",
     "bsp_connected_components",
     "bsp_degree_histogram",

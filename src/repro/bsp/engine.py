@@ -70,14 +70,11 @@ class BSPEngine:
     """Superstep loop with barrier-synchronized bulk messaging."""
 
     def __init__(self, max_workers: int = 1, executor: str | Any | None = None,
-                 transport=None, hosts=None):
+                 hosts=None):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
         self.executor = executor
-        #: Task-wire codec spec forwarded to the backend (see
-        #: :data:`repro.bsp.transport.TRANSPORTS`); ``None`` = in-memory.
-        self.transport = transport
         #: ``host:port`` specs for the ``remote`` backend; ignored otherwise.
         self.hosts = hosts
 
@@ -115,7 +112,7 @@ class BSPEngine:
         stats = RunStats()
         active: set[Hashable] = set(states)
         backend = make_executor(self.executor, self.max_workers,
-                                transport=self.transport, hosts=self.hosts)
+                                hosts=self.hosts)
         backend.start(compute)
 
         try:

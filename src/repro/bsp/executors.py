@@ -34,11 +34,9 @@ paper's Spark cluster:
     per host as one frame whose tables ship the same way, and partitions
     pin to hosts via :class:`~repro.bsp.transport.StaticPlacement`.
 
-Orthogonal to *where* compute runs is *how* payloads move: the serial and
-thread backends accept a ``transport`` codec
-(:data:`repro.bsp.transport.TRANSPORTS`) that round-trips every task and
-result triple through a real encode/decode, so wire-format parity can be
-asserted without paying for a process pool.
+Each backend has exactly one wire: serial and thread pass tasks and
+result triples by reference, the process pool pickles them through its
+pipe, and the remote backend speaks the frame protocol.
 
 All backends produce ``(pid, record, result)`` triples that the engine
 commits in pid order, so the *outcome* of a run is identical under every
@@ -49,7 +47,7 @@ this end-to-end.
 
 from __future__ import annotations
 
-import hashlib
+import os
 import pickle
 import threading
 import time
@@ -127,31 +125,21 @@ class _Closable:
 
 
 class SerialExecutor(_Closable):
-    """Run every partition inline, in the order given (ascending pid).
-
-    ``transport`` selects a task codec from
-    :data:`repro.bsp.transport.TRANSPORTS`; every task and result triple is
-    round-tripped through it, so ``SerialExecutor(transport="socket")`` is
-    the remote wire format minus the network — the transport-matrix parity
-    suite runs exactly this.
-    """
+    """Run every partition inline, in the order given (ascending pid)."""
 
     name = "serial"
 
-    def __init__(self, max_workers: int = 1, transport=None):
+    def __init__(self, max_workers: int = 1):
         self.max_workers = 1
-        self._transport = transport_mod.resolve_transport(transport)
 
     def start(self, compute: Callable) -> None:
         self._compute = compute
 
     def run_superstep(self, tasks: list[SuperstepTask]) -> list:
-        wire = self._transport
-        return [wire.roundtrip(run_task(self._compute, wire.roundtrip(t)))
-                for t in tasks]
+        return [run_task(self._compute, t) for t in tasks]
 
     def close(self) -> None:
-        self._transport.close()
+        pass
 
 
 class ThreadExecutor(_Closable):
@@ -159,11 +147,10 @@ class ThreadExecutor(_Closable):
 
     name = "thread"
 
-    def __init__(self, max_workers: int = 4, transport=None):
+    def __init__(self, max_workers: int = 4):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-        self._transport = transport_mod.resolve_transport(transport)
         self._pool: ThreadPoolExecutor | None = None
 
     def start(self, compute: Callable) -> None:
@@ -172,16 +159,12 @@ class ThreadExecutor(_Closable):
 
     def run_superstep(self, tasks: list[SuperstepTask]) -> list:
         assert self._pool is not None, "start() must be called before supersteps"
-        wire = self._transport
-        return list(self._pool.map(
-            lambda t: wire.roundtrip(run_task(self._compute, wire.roundtrip(t))),
-            tasks))
+        return list(self._pool.map(lambda t: run_task(self._compute, t), tasks))
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._transport.close()
 
 
 class ProcessExecutor(_Closable):
@@ -195,14 +178,9 @@ class ProcessExecutor(_Closable):
 
     name = "process"
 
-    def __init__(self, max_workers: int = 4, transport=None):
+    def __init__(self, max_workers: int = 4):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if transport not in (None, "pickle"):
-            raise ValueError(
-                "the process executor's pipe is already a pickle transport; "
-                f"task transport {transport!r} is not supported on it"
-            )
         self.max_workers = max_workers
         self._pool: ProcessPoolExecutor | None = None
 
@@ -248,17 +226,12 @@ class RemoteExecutor(_Closable):
     name = "remote"
 
     def __init__(self, hosts, max_workers: int | None = None,
-                 connect_timeout: float = 10.0, transport=None):
+                 connect_timeout: float = 10.0):
         addrs = transport_mod.parse_hosts(hosts)
         if not addrs:
             raise ValueError(
                 "remote executor requires at least one worker host "
                 "(hosts='host:port,...')"
-            )
-        if transport not in (None, "socket"):
-            raise ValueError(
-                "the remote executor always speaks the socket frame "
-                f"transport; task transport {transport!r} is not supported"
             )
         self.hosts = addrs
         self.max_workers = len(addrs)
@@ -397,11 +370,12 @@ class RemoteExecutor(_Closable):
 # Shared, persistent pools (job-orchestration substrate)
 # ---------------------------------------------------------------------------
 
-# Worker-side cache of superstep programs keyed by content hash: a shared
-# process pool serves many jobs, so each worker unpickles a given program at
-# most once and reuses it for every later task of that job (and of any job
-# re-running the same program). Bounded so a very long-lived worker cannot
-# accumulate graphs forever.
+# Worker-side cache of superstep programs keyed by session: a shared process
+# pool serves many runs, so each worker unpickles a run's program at most
+# once and reuses it for every later task of that run. Keys are minted per
+# session and never repeat, so a run never sees another run's program (whose
+# level-0 tables that run's own tasks have already popped). Bounded so a
+# very long-lived worker cannot accumulate graphs forever.
 _SHARED_PROGRAMS: dict[str, Callable] = {}
 _SHARED_PROGRAM_CAP = 8
 
@@ -456,10 +430,13 @@ class _ThreadSession(_Closable):
 class _ProcessSession(_Closable):
     """One run's executor view over a shared process pool.
 
-    ``start`` pickles the superstep program once; every task ships ``(key,
-    payload)`` and workers cache the unpickled program by content hash, so a
-    warm worker pays one dict lookup per task instead of a per-job pool
-    spawn plus per-worker initializer pickle. ``close`` unpublishes the
+    ``start`` pickles the superstep program once and mints a fresh key for
+    this session; every task ships ``(key, payload)`` and workers cache the
+    unpickled program under that key, so a warm worker pays one dict lookup
+    per task instead of a per-run pool spawn plus per-worker initializer
+    pickle. The key is random, not a content hash: a program is stateful
+    (it drops each level-0 table after its last reader), so two identical
+    runs must never share a cached copy. ``close`` unpublishes the
     program's segment, which no later run would look up.
     """
 
@@ -471,7 +448,7 @@ class _ProcessSession(_Closable):
 
     def start(self, compute: Callable) -> None:
         self._payload = pickle.dumps(compute, protocol=pickle.HIGHEST_PROTOCOL)
-        self._key = hashlib.sha256(self._payload).hexdigest()[:16]
+        self._key = os.urandom(8).hex()
         self._pool._register_program(self._key, self._payload)
 
     def run_superstep(self, tasks: list[SuperstepTask]) -> list:
@@ -644,20 +621,19 @@ def resolve_executor_name(executor: str | Any | None,
 
 
 def make_executor(executor: str | Any | None, max_workers: int = 1,
-                  transport=None, hosts=None):
+                  hosts=None):
     """Resolve an executor spec into a backend instance.
 
     A string (or ``None``, via :func:`resolve_executor_name`) selects from
     :data:`EXECUTORS`; an object with ``start``/``run_superstep``/``close``
-    is used as-is. ``transport`` selects the task codec (backends that fix
-    their own wire reject incompatible codecs); ``hosts`` is required by —
-    and only meaningful for — the ``remote`` backend.
+    is used as-is. ``hosts`` is required by — and only meaningful for — the
+    ``remote`` backend.
     """
     if executor is None or isinstance(executor, str):
         name = resolve_executor_name(executor, max_workers)
         if name == "remote":
-            return RemoteExecutor(hosts, transport=transport)
-        return EXECUTORS[name](max_workers=max_workers, transport=transport)
+            return RemoteExecutor(hosts)
+        return EXECUTORS[name](max_workers=max_workers)
     if all(hasattr(executor, a) for a in ("start", "run_superstep", "close")):
         return executor
     raise TypeError(f"not an executor: {executor!r}")

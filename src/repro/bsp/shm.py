@@ -1,20 +1,11 @@
-"""Shared-memory data plane: segments, descriptors, and cancel flags.
+"""Shared-memory data plane: keyed segments, cancel flags and heartbeats.
 
-The process backends and the pre-forked serving dispatchers all need the
+The pre-forked serving dispatchers and the shared process pool need the
 same primitive: hand a block of packed ``int64`` arrays to another process
 *without* serializing it through a pipe. POSIX shared memory
 (:mod:`multiprocessing.shared_memory`) provides exactly that — a named
-segment both sides map — and this module wraps it with the three protocols
-the pipeline uses:
-
-``ShmBlob``
-    One pickled object whose array buffers live out-of-band in a segment
-    (pickle protocol 5 ``buffer_callback``). The *descriptor* — segment
-    name, meta-pickle, ``(offset, nbytes)`` spans — crosses the pipe; the
-    consumer attaches and reconstructs zero-copy NumPy views over the
-    mapped pages. This is the superstep state transport
-    (:class:`~repro.pipeline.program.SuperstepProgram` with
-    ``transport="shm"``).
+segment both sides map — and this module wraps it with the protocols
+those callers use:
 
 ``SharedSegmentStore``
     A keyed, refcount-audited publisher of long-lived segments: catalog
@@ -22,10 +13,14 @@ the pipeline uses:
     per key; descriptors are ``(segment_name, offset, shape, dtype)``
     tuples a worker turns back into arrays with :func:`attach_arrays`.
 
-``CancelFlags``
-    A tiny ``int64`` flag array for the pre-forked dispatchers — the
-    parent sets slot ``i`` to cancel the job running in worker ``i``; the
-    worker polls it at superstep boundaries.
+``CancelFlags`` / ``HeartbeatSlots``
+    Tiny ``int64`` arrays for the pre-forked dispatchers — the parent sets
+    slot ``i`` to cancel the job running in worker ``i`` (the worker polls
+    it at superstep boundaries), and each worker stamps its slot's
+    heartbeat at the same points.
+
+Superstep messages do not use shared memory: a child state always crosses
+as one pickle (:meth:`repro.pipeline.program.SuperstepProgram._ship_state`).
 
 Ownership protocol (what makes the leak check pass):
 
@@ -34,10 +29,9 @@ Ownership protocol (what makes the leak check pass):
   registers on both sides and would otherwise double-unlink or warn);
   lifetime is managed here, never by the tracker;
 * the *creator* unlinks: stores on :meth:`SharedSegmentStore.close` (with
-  an ``atexit`` guard), message blobs via :meth:`ShmBlob.dispose` by the
-  consumer that merged them, plus a parent-side janitor
-  (:func:`cleanup_token`) that sweeps a run's remaining message segments
-  by name prefix when the run ends — normally, cancelled, or crashed;
+  an ``atexit`` guard), flag and heartbeat arrays on their owner's
+  ``close()``, and the serve-start janitor
+  (:func:`sweep_stale_segments`) removes whatever a killed process left;
 * unlink is idempotent (missing segments are ignored), and consumers
   never ``close()`` a mapping that still backs live array views — the
   mapping is released when the last view is garbage-collected.
@@ -51,7 +45,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
 import threading
 import time
 from pathlib import Path
@@ -63,13 +56,10 @@ from ..obs import ambient
 __all__ = [
     "SEGMENT_PREFIX",
     "shm_available",
-    "ShmBlob",
-    "ship",
     "SharedSegmentStore",
     "attach_arrays",
     "CancelFlags",
     "HeartbeatSlots",
-    "cleanup_token",
     "unlink_segment",
     "leaked_segments",
     "segment_creator_pid",
@@ -190,7 +180,7 @@ def _adopt_consumer_mapping(shm) -> None:
 
     Closes the (now unneeded) file descriptor eagerly — the stdlib only
     closes it *after* the mmap close that raises when views are exported,
-    so without this a long-lived server would leak one fd per message —
+    so without this a long-lived server would leak one fd per attach —
     and swaps in the noise-free teardown class.
     """
     fd = getattr(shm, "_fd", -1)
@@ -290,7 +280,7 @@ def sweep_stale_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     """Janitor: unlink ``repro_`` segments whose creating process is dead.
 
     A SIGKILL'd server (or worker host) cannot run its cleanup handlers,
-    so its catalog/flags/message segments stay in ``/dev/shm`` forever.
+    so its catalog/program/flag segments stay in ``/dev/shm`` forever.
     This sweep — run at serve start — removes exactly those: segments
     whose embedded creator pid (:func:`segment_creator_pid`, baked into
     every segment name at creation) no longer runs. Liveness is judged by
@@ -310,106 +300,6 @@ def sweep_stale_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
         if unlink_segment(name):
             swept.append(name)
     return swept
-
-
-def cleanup_token(token: str) -> int:
-    """Janitor: unlink every message segment of one run (by name prefix).
-
-    Message segments are normally disposed by the consumer that merged
-    them; a run that aborts at a superstep boundary (cancel, deadline,
-    worker crash) leaves its undelivered messages behind. The runner calls
-    this in a ``finally`` with the run's unique token, so leaks are
-    impossible regardless of how the run ended. Returns the number of
-    segments removed.
-    """
-    removed = 0
-    for name in leaked_segments(f"{SEGMENT_PREFIX}m{token}_"):
-        if unlink_segment(name):
-            removed += 1
-    return removed
-
-
-# ---------------------------------------------------------------------------
-# Message transport: one pickled object, buffers out-of-band in a segment
-# ---------------------------------------------------------------------------
-
-
-class ShmBlob:
-    """Descriptor of one shipped object: meta-pickle + buffer spans.
-
-    The descriptor itself is small and picklable — it is what actually
-    crosses the executor pipe. ``load()`` attaches the segment and
-    reconstructs the object with zero-copy views over the mapped pages;
-    ``dispose()`` unlinks the segment (idempotent). The consumer disposes
-    after it has *merged* the state (every array
-    :func:`repro.core.merging.merge_states` returns is a fresh copy, so no
-    view outlives the merge); the mapping itself is released when the last
-    view is garbage-collected.
-    """
-
-    __slots__ = ("name", "meta", "spans", "nbytes")
-
-    def __init__(self, name: str, meta: bytes, spans: list, nbytes: int):
-        self.name = name
-        self.meta = meta
-        self.spans = spans
-        self.nbytes = nbytes
-
-    def __getstate__(self):
-        return (self.name, self.meta, self.spans, self.nbytes)
-
-    def __setstate__(self, state):
-        self.name, self.meta, self.spans, self.nbytes = state
-
-    def load(self):
-        """Attach and rebuild the object (views share the segment pages)."""
-        shm = _attach_segment(self.name)
-        buf = shm.buf
-        views = [buf[off:off + n] for off, n in self.spans]
-        obj = pickle.loads(self.meta, buffers=views)
-        _adopt_consumer_mapping(shm)
-        return obj
-
-    def dispose(self) -> bool:
-        """Unlink the backing segment (idempotent, safe to call twice)."""
-        return unlink_segment(self.name)
-
-
-def ship(obj, token: str = "") -> "ShmBlob | bytes":
-    """Serialize ``obj`` with its array buffers placed in a fresh segment.
-
-    Pickle protocol 5 externalizes every contiguous buffer through
-    ``buffer_callback``; the buffers are copied once, C-speed, into one
-    segment and the tiny meta-pickle rides in the returned descriptor.
-    Objects with no out-of-band buffers — and any segment-creation failure
-    — fall back to plain pickle bytes, which the receive side accepts
-    interchangeably (the portable fallback the transport contract
-    promises).
-    """
-    buffers: list = []
-    meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    if not buffers:
-        return meta
-    raws = [b.raw() for b in buffers]
-    total = sum(r.nbytes for r in raws)
-    try:
-        shm = _create_segment(total, f"m{token}")
-    except Exception:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    spans = []
-    off = 0
-    buf = shm.buf
-    for r in raws:
-        n = r.nbytes
-        buf[off:off + n] = r
-        spans.append((off, n))
-        off += n
-    blob = ShmBlob(shm.name, meta, spans, total)
-    del buf, raws, buffers
-    # The creator's mapping is no longer needed — the descriptor carries
-    # everything the consumer needs to attach by name.
-    shm.close()
-    return blob
 
 
 # ---------------------------------------------------------------------------

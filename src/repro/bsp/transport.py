@@ -1,21 +1,13 @@
-"""Task transport and placement: how superstep payloads move, and where.
+"""The remote wire and placement: how superstep frames move, and where.
 
-The executor backends (:mod:`repro.bsp.executors`) answer two questions
-that PR 1 fused into one class hierarchy and this module splits apart:
-
-* **transport** — how a :data:`~repro.bsp.executors.SuperstepTask` and its
-  result triple cross an execution boundary. Four interchangeable codecs:
-  ``memory`` (by reference, the in-process identity), ``pickle`` (a real
-  serialization round-trip), ``shm`` (buffers placed in a POSIX
-  shared-memory segment, descriptor crosses), and ``socket`` (the
-  length-prefixed binary frame the remote backend speaks, run through an
-  in-memory loopback). Every codec is bit-parity equivalent by contract —
-  the transport-matrix suite enforces it.
-* **placement** — which worker slot runs which partition.
-  :class:`StaticPlacement` pins each pid to a slot by value (ints) or
-  stable hash (everything else), so a partition's state always lands on
-  the same host across supersteps — the paper's one-machine-per-partition
-  deployment, made explicit.
+Every executor backend (:mod:`repro.bsp.executors`) has exactly one wire:
+serial and thread pass tasks by reference, the process pool pickles
+through its pipe, and the remote backend speaks the frame protocol this
+module defines. Placement is the other half:
+:class:`StaticPlacement` pins each pid to a worker slot by value (ints) or
+stable hash (everything else), so a partition's state always lands on the
+same host across supersteps — the paper's one-machine-per-partition
+deployment, made explicit.
 
 The frame protocol (``send_frame`` / ``recv_frame``) is what
 :class:`~repro.bsp.executors.RemoteExecutor` and
@@ -28,11 +20,12 @@ The frame protocol (``send_frame`` / ``recv_frame``) is what
 ``meta`` is a pickle-protocol-5 payload whose contiguous array buffers are
 externalized via ``buffer_callback`` and written to the socket *raw*, after
 the meta pickle — the packed int64 EdgeTable/ItemArray/CoarseTable columns
-PR 2 built ship with zero re-encoding, and the receive side rebuilds the
-arrays as views over the received buffers. Module-level :data:`WIRE`
-counters record total vs out-of-band bytes, which is exactly the
-"bytes-on-wire ≤ packed columns + framing overhead" gate the data-plane
-benchmark asserts.
+ship with zero re-encoding, and the receive side rebuilds the arrays as
+views over the received buffers. :func:`decode_frame` parses one frame
+from a contiguous block, the in-memory reference the unit tests pin.
+Module-level :data:`WIRE` counters record total vs out-of-band bytes,
+which is exactly the "bytes-on-wire ≤ packed columns + framing overhead"
+gate the data-plane benchmark asserts.
 """
 
 from __future__ import annotations
@@ -48,15 +41,9 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..obs import get_registry
-from . import shm
 
 __all__ = [
-    "TRANSPORTS",
     "FrameConnection",
-    "MemoryTransport",
-    "PickleTransport",
-    "ShmTransport",
-    "SocketTransport",
     "StaticPlacement",
     "WireStats",
     "connect",
@@ -64,7 +51,6 @@ __all__ = [
     "decode_frame",
     "parse_hosts",
     "recv_frame",
-    "resolve_transport",
     "send_frame",
     "slot_of",
     "wire_stats",
@@ -503,128 +489,3 @@ class StaticPlacement:
         for task in tasks:
             groups.setdefault(self.slot_of(task[0]), []).append(task)
         return groups
-
-
-# ---------------------------------------------------------------------------
-# Task transports (codecs)
-# ---------------------------------------------------------------------------
-
-
-class MemoryTransport:
-    """In-memory identity: payloads cross by reference (serial/thread)."""
-
-    name = "memory"
-
-    def encode(self, obj: Any) -> Any:
-        return obj
-
-    def decode(self, wire: Any) -> Any:
-        return wire
-
-    def roundtrip(self, obj: Any) -> Any:
-        return self.decode(self.encode(obj))
-
-    def close(self) -> None:
-        pass
-
-
-class PickleTransport(MemoryTransport):
-    """A real pickle round-trip — what a process pool's pipe does."""
-
-    name = "pickle"
-
-    def encode(self, obj: Any) -> bytes:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def decode(self, wire: bytes) -> Any:
-        return pickle.loads(wire)
-
-
-class ShmTransport(MemoryTransport):
-    """Buffers through a shared-memory segment; descriptor crosses.
-
-    Wraps :func:`repro.bsp.shm.ship` / :class:`~repro.bsp.shm.ShmBlob`:
-    the encode side copies the payload's array buffers once into a fresh
-    segment; decode attaches, rebuilds, and unlinks. ``close()`` sweeps
-    any segment an aborted round-trip stranded (by this transport's unique
-    token), so the codec upholds the no-leak contract on every exit path.
-    """
-
-    name = "shm"
-
-    def __init__(self):
-        import os
-
-        self._token = f"t{os.urandom(3).hex()}"
-
-    def encode(self, obj: Any):
-        return shm.ship(obj, token=self._token)
-
-    def decode(self, wire) -> Any:
-        if isinstance(wire, shm.ShmBlob):
-            obj = wire.load()
-            wire.dispose()
-            return obj
-        return pickle.loads(wire)
-
-    def close(self) -> None:
-        shm.cleanup_token(self._token)
-
-
-class SocketTransport(MemoryTransport):
-    """The remote backend's frame codec, run through an in-memory loopback.
-
-    Encodes exactly the bytes :func:`send_frame` would put on a socket and
-    decodes them exactly as :func:`recv_frame` would — the transport-matrix
-    parity suite exercises the real wire format without binding a port.
-    """
-
-    name = "socket"
-
-    def __init__(self, stats=None):
-        self._stats = stats
-
-    def encode(self, obj: Any) -> bytes:
-        parts, total, buffer_bytes = encode_frame(obj)
-        out = io.BytesIO()
-        for part in parts:
-            out.write(part)
-        (self._stats if self._stats is not None else WIRE).add(
-            total, buffer_bytes)
-        return out.getvalue()
-
-    def decode(self, wire: bytes) -> Any:
-        return decode_frame(wire)
-
-
-#: Registry of task-transport codecs selectable by name.
-TRANSPORTS: dict[str, type] = {
-    "memory": MemoryTransport,
-    "pickle": PickleTransport,
-    "shm": ShmTransport,
-    "socket": SocketTransport,
-}
-
-
-def resolve_transport(transport) -> MemoryTransport:
-    """A transport spec (name, ``None``, or instance) → codec instance.
-
-    ``None`` means in-memory. ``"shm"`` falls back to pickle when POSIX
-    shared memory is unavailable, mirroring ``RunConfig.transport_name``.
-    """
-    if transport is None:
-        return MemoryTransport()
-    if isinstance(transport, str):
-        if transport == "shm" and not shm.shm_available():
-            return PickleTransport()
-        try:
-            cls = TRANSPORTS[transport]
-        except KeyError:
-            raise ValueError(
-                f"unknown task transport {transport!r}; "
-                f"valid transports: {', '.join(sorted(TRANSPORTS))}"
-            ) from None
-        return cls()
-    if all(hasattr(transport, a) for a in ("encode", "decode", "roundtrip")):
-        return transport
-    raise TypeError(f"not a task transport: {transport!r}")

@@ -99,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "--workers > 1)")
     run.add_argument("--workers", type=int, default=1,
                      help="worker count for the thread/process backends")
-    run.add_argument("--task-transport", default=None,
-                     choices=("memory", "pickle", "shm", "socket"),
-                     help="per-task wire codec for the serial/thread "
-                          "backends (parity/benchmark knob; results are "
-                          "bit-identical either way)")
     run.add_argument("--hosts", default=None,
                      help="remote executor: comma-separated worker host "
                           "addresses (each runs `repro-euler worker`)")
@@ -364,7 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         executor=args.executor,
         workers=args.workers,
-        task_transport=args.task_transport,
         hosts=args.hosts,
         verify=args.verify,
     )

@@ -47,8 +47,6 @@ def find_euler_circuit(
     check_input: bool = True,
     engine_workers: int = 1,
     executor: str | None = None,
-    transport: str | None = None,
-    task_transport: str | None = None,
     hosts=None,
 ) -> EulerResult:
     """Find an Euler circuit with the partition-centric distributed algorithm.
@@ -71,13 +69,7 @@ def find_euler_circuit(
     requires ``hosts="host:port,..."``). ``engine_workers`` sets the pool
     width; the default ``executor=None`` keeps the historical behavior
     (serial when ``engine_workers == 1``, threads otherwise). Every backend
-    produces an identical circuit and fragment store. ``transport`` picks
-    how superstep messages cross process boundaries: ``"pickle"`` (portable
-    default) or ``"shm"`` (single-copy POSIX shared-memory segments; only
-    meaningful — and only accepted — where ``/dev/shm`` exists).
-    ``task_transport`` independently selects the per-task wire codec
-    (``"memory"`` | ``"pickle"`` | ``"shm"`` | ``"socket"``) round-tripped
-    by the serial/thread backends — all codecs are bit-parity equivalent.
+    produces an identical circuit and fragment store.
 
     Raises
     ------
@@ -93,8 +85,6 @@ def find_euler_circuit(
         matching=matching,
         seed=seed,
         executor=executor,
-        transport=transport,
-        task_transport=task_transport,
         hosts=hosts,
         workers=engine_workers,
         spill_dir=spill_dir,

@@ -479,7 +479,7 @@ class JobEngine:
             self.catalog.unpin(job.graph_key)
             # Cancelled-while-queued jobs never reach a dispatcher; write
             # their artifact here so the registry can evict them too.
-            self._write_artifact(job, swallow_errors=True)
+            self._write_artifact(job, CANCELLED, swallow_errors=True)
             self._journal_event("cancelled", job)
             return True
         if job.state == RUNNING and job.cancel_token is not None:
@@ -1048,14 +1048,7 @@ class JobEngine:
                 # this run was replayed vs recomputed.
                 job.record_pass("repair", 0.0, **config.repair.report())
             job.result = result
-
-            # Pre-stamp the terminal state so the durable artifact records
-            # the finished job; finish() below only notifies the handle.
-            job.state = DONE
-            job.finished_at = time.time()
-            self._write_artifact(job)
-            self._journal_event("done", job)
-            self.queue.finish(job, DONE)
+            self._finish(job, DONE)
             return False
         except RunCancelledError as exc:
             # Cooperative stop at a safe point. The passes recorded so far
@@ -1064,15 +1057,9 @@ class JobEngine:
             job.record_pass("cancelled", time.perf_counter() - started,
                             reason=exc.reason, where=exc.where)
             if exc.reason == "timeout":
-                state, error = FAILED, str(exc)
+                self._finish(job, FAILED, error=str(exc))
             else:
-                state, error = CANCELLED, None
-            job.state = state
-            job.error = error
-            job.finished_at = time.time()
-            self._write_artifact(job, swallow_errors=True)
-            self._journal_event(state.lower(), job, error=error)
-            self.queue.finish(job, state, error=error)
+                self._finish(job, CANCELLED)
             return False
         except Exception as exc:  # a failed job must never kill its dispatcher
             detail = "".join(
@@ -1081,7 +1068,7 @@ class JobEngine:
             job.record_pass("error", 0.0, error=detail)
             if _is_transient(exc) and self._schedule_retry(job, detail):
                 return True
-            self._finish_failed(job, detail)
+            self._finish(job, FAILED, error=detail)
             return False
 
     # -- retry/backoff ------------------------------------------------------
@@ -1124,13 +1111,10 @@ class JobEngine:
             # Cancelled while waiting out the backoff.
             job.record_pass("cancelled", 0.0, reason="cancel",
                             where="retry backoff")
-            job.state = CANCELLED
-            job.finished_at = time.time()
-            self._write_artifact(job, swallow_errors=True)
-            self._journal_event("cancelled", job)
-            self.queue.finish(job, CANCELLED)
+            self._finish(job, CANCELLED)
         elif not self.queue.requeue(job):
-            self._finish_failed(job, "engine closed during retry backoff")
+            self._finish(job, FAILED,
+                         error="engine closed during retry backoff")
         else:
             return  # back in the queue; the pin stays held
         self.catalog.unpin(job.graph_key)
@@ -1180,7 +1164,7 @@ class JobEngine:
                             error=detail)
             if self._schedule_retry(job, detail):
                 return True
-            self._finish_failed(job, detail)
+            self._finish(job, FAILED, error=detail)
             return False
         except Exception as exc:  # parent-side failure must not kill the loop
             detail = "".join(
@@ -1188,7 +1172,7 @@ class JobEngine:
             ).strip()
             job.record_pass("error", time.perf_counter() - started,
                             error=detail)
-            self._finish_failed(job, detail)
+            self._finish(job, FAILED, error=detail)
             return False
 
     def _job_spec(self, job: Job) -> dict:
@@ -1222,22 +1206,14 @@ class JobEngine:
         state = out["state"]
         if state == DONE:
             job.result = out["result"]
-            job.state = DONE
-            job.finished_at = time.time()
-            self._write_artifact(job)
-            self._journal_event("done", job)
-            self.queue.finish(job, DONE)
+            self._finish(job, DONE)
         elif state == CANCELLED:
-            job.state = CANCELLED
-            job.finished_at = time.time()
-            self._write_artifact(job, swallow_errors=True)
-            self._journal_event("cancelled", job)
-            self.queue.finish(job, CANCELLED)
+            self._finish(job, CANCELLED)
         else:
             error = out.get("error") or "job failed"
             if out.get("transient") and self._schedule_retry(job, error):
                 return True
-            self._finish_failed(job, error)
+            self._finish(job, FAILED, error=error)
         return False
 
     # -- remote dispatch (coordinator mode) ----------------------------------
@@ -1265,7 +1241,7 @@ class JobEngine:
                             error=detail)
             if self._schedule_retry(job, detail):
                 return True
-            self._finish_failed(job, detail)
+            self._finish(job, FAILED, error=detail)
             return False
         except Exception as exc:  # coordinator-side failure: contain it
             detail = "".join(
@@ -1273,18 +1249,34 @@ class JobEngine:
             ).strip()
             job.record_pass("error", time.perf_counter() - started,
                             error=detail)
-            self._finish_failed(job, detail)
+            self._finish(job, FAILED, error=detail)
             return False
 
-    def _finish_failed(self, job: Job, error: str) -> None:
-        job.state = FAILED
-        job.error = error
-        job.finished_at = time.time()
-        self._write_artifact(job, swallow_errors=True)
-        self._journal_event("failed", job, error=error)
-        self.queue.finish(job, FAILED, error=error)
+    def _finish(self, job: Job, state: str, error: str | None = None) -> None:
+        """Land a running job in a terminal state: artifact, journal, queue.
 
-    def _write_artifact(self, job: Job, swallow_errors: bool = False) -> None:
+        The artifact and the journal record the terminal state before
+        ``queue.finish`` commits it (recovery trusts an artifact written
+        ahead of its journal record), yet only ``queue.finish`` writes
+        ``job.state``: a status read never sees a terminal state whose
+        handle is still pending and whose registry trim has not run. A
+        DONE artifact that cannot be written raises, so the caller fails
+        the job instead of reporting a result with no durable record.
+        """
+        job.finished_at = time.time()
+        self._write_artifact(job, state, error, swallow_errors=state != DONE)
+        fields = {} if error is None else {"error": error}
+        self._journal_event(state.lower(), job, **fields)
+        self.queue.finish(job, state, error=error)
+
+    def _write_artifact(self, job: Job, state: str, error: str | None = None,
+                        swallow_errors: bool = False) -> None:
+        """Write the job's durable artifact as of ``state`` (and ``error``).
+
+        The live ``job`` keeps its registry state: the artifact serializes
+        a copy stamped with the terminal state the caller is about to
+        commit.
+        """
         if self.artifact_dir is None:
             return
         from ..bench.report_io import save_job
@@ -1295,7 +1287,9 @@ class JobEngine:
             # names its path — what evicted-job lookups serve verbatim.
             path = self.artifact_dir / f"{job.id}.json"
             job.artifact_path = str(path)
-            save_job(job, path)
+            save_job(replace(job, state=state,
+                             error=job.error if error is None else error),
+                     path)
             job.record_pass("write_artifact", time.perf_counter() - t0,
                             path=str(path))
         except Exception:
@@ -1371,7 +1365,8 @@ class JobEngine:
             self._retry_timers.clear()
         for timer, job in pending.items():
             timer.cancel()
-            self._finish_failed(job, "engine closed during retry backoff")
+            self._finish(job, FAILED,
+                         error="engine closed during retry backoff")
             self.catalog.unpin(job.graph_key)
             self._trim_resident(job)
         if cancel_queued:

@@ -80,10 +80,15 @@ WIRE_CONFIG_FIELDS = {
     "seed": int,
     "executor": str,
     "workers": int,
-    "transport": str,
     "validate": bool,
     "verify": bool,
 }
+
+#: Fields a wire config no longer carries but a journal written before
+#: their removal may hold. Accepted and ignored, so recovery still requeues
+#: those jobs: ``transport`` chose how child states shipped, and every
+#: value gave bit-identical circuits.
+_RETIRED_CONFIG_FIELDS = frozenset({"transport"})
 
 #: Journal events that end a job's lifecycle.
 TERMINAL_EVENTS = frozenset({"done", "failed", "cancelled"})
@@ -106,6 +111,8 @@ def config_from_dict(payload: dict) -> RunConfig:
     """Build a :class:`RunConfig` from a wire/journal ``config`` object."""
     kwargs = {}
     for key, value in (payload or {}).items():
+        if key in _RETIRED_CONFIG_FIELDS:
+            continue
         caster = WIRE_CONFIG_FIELDS.get(key)
         if caster is None:
             raise ValueError(f"unknown config field {key!r}")

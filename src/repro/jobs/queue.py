@@ -346,8 +346,8 @@ class JobQueue:
             if error is not None:
                 job.error = error
             if job.finished_at is None:
-                # The engine may pre-stamp the terminal state so the durable
-                # artifact (written just before this call) records it.
+                # The engine pre-stamps finished_at so the durable artifact
+                # (written just before this call) records it.
                 job.finished_at = time.time()
             self._counts[RUNNING] -= 1
             self._counts[state] += 1

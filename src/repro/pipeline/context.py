@@ -90,22 +90,6 @@ class RunConfig:
     #: engine re-arms the plan per retry attempt so recovered runs execute
     #: clean.
     faults: Any = None
-    #: Superstep state transport: ``"pickle"`` (portable default) or
-    #: ``"shm"`` — child→parent states ship as shared-memory segment
-    #: descriptors (:mod:`repro.bsp.shm`) instead of pickled byte blobs.
-    #: ``None`` resolves to pickle; ``"shm"`` silently falls back to
-    #: pickle when POSIX shared memory is unavailable, so a config is
-    #: portable either way. Both transports are bit-parity equivalent.
-    transport: str | None = None
-    #: Per-task wire codec for the superstep executor
-    #: (:data:`repro.bsp.transport.TRANSPORTS`: ``"memory"`` | ``"pickle"``
-    #: | ``"shm"`` | ``"socket"``). Orthogonal to ``transport`` above (which
-    #: ships whole child→parent states): this round-trips each
-    #: ``SuperstepTask``/result triple through a real encode/decode on the
-    #: serial and thread backends, and is fixed by construction on the
-    #: process (pipe pickle) and remote (socket frame) backends. ``None``
-    #: means by-reference. All codecs are bit-parity equivalent.
-    task_transport: str | None = None
     #: Worker host addresses for the ``remote`` executor backend — a
     #: ``"host:port,host:port"`` string or a list of ``(host, port)``
     #: pairs. Ignored by every other backend.
@@ -120,19 +104,6 @@ class RunConfig:
     #: any process fan-out or wire crossing — repair only accelerates
     #: in-process runs.
     repair: Any = None
-
-    @property
-    def transport_name(self) -> str:
-        """The resolved transport (``"shm"`` only when actually usable)."""
-        if self.transport in (None, "pickle"):
-            return "pickle"
-        if self.transport != "shm":
-            raise ValueError(
-                f"unknown transport {self.transport!r}; use 'pickle' or 'shm'"
-            )
-        from ..bsp.shm import shm_available
-
-        return "shm" if shm_available() else "pickle"
 
     @property
     def executor_name(self) -> str:

@@ -7,6 +7,9 @@ once its last reader has run — so the ``process`` executor can install it
 once per worker and run partitions out of process with real serialization
 boundaries, exactly like the paper's one-machine-per-partition deployment:
 
+* a child partition's state crosses to its parent as one pickle
+  (:meth:`SuperstepProgram._ship_state`) inside the result's outgoing
+  messages, whatever the executor;
 * fragments created during a run go into a :class:`FragmentBatch` with
   structured, coordination-free ids (:func:`repro.core.pathmap.make_fid`)
   and travel back in ``ComputeResult.payload``;
@@ -23,7 +26,6 @@ import time
 
 import numpy as np
 
-from ..bsp import shm
 from ..bsp.accounting import (
     CAT_COPY_SINK,
     CAT_COPY_SRC,
@@ -70,21 +72,6 @@ class SuperstepProgram:
         the leaves release into that parent's merge (empty unless deferred).
     validate:
         Lemma-checking flag, as in the driver.
-    transport:
-        Child→parent state wire format: ``"pickle"`` ships one pickled
-        byte blob per transfer (the portable default); ``"shm"`` ships a
-        :class:`~repro.bsp.shm.ShmBlob` descriptor whose array buffers
-        live in a shared-memory segment — the receiver reconstructs
-        zero-copy views, and a level-0 state whose held rows are still the
-        program's own ``held0[pid]`` ships a by-reference token instead of
-        bytes (every worker already holds ``held0`` as program static
-        data, the paper's graph-loaded-on-every-machine dedup). Both
-        formats are accepted on receive regardless of the configured
-        transport, so per-message fallback is always safe.
-    run_token:
-        Unique tag naming this run's message segments, letting the runner
-        sweep stragglers (:func:`repro.bsp.shm.cleanup_token`) when a run
-        aborts between ship and receive.
     """
 
     def __init__(
@@ -96,8 +83,6 @@ class SuperstepProgram:
         send_plan: dict[int, tuple[int, int]],
         extras: dict[tuple[int, int], np.ndarray],
         validate: bool,
-        transport: str = "pickle",
-        run_token: str = "",
     ):
         self.graph = graph
         self.local0 = local0
@@ -106,8 +91,6 @@ class SuperstepProgram:
         self.send_plan = send_plan
         self.extras = extras
         self.validate = validate
-        self.transport = transport
-        self.run_token = run_token
 
     # ---- state wire format -------------------------------------------------
 
@@ -115,47 +98,30 @@ class SuperstepProgram:
     _HELD_SENTINEL = np.empty((0, 4), dtype=np.int64)
 
     def _ship_state(self, state: PartitionState):
-        """Encode one child state for the executor boundary.
+        """Encode one child state for the executor boundary: pickle bytes.
 
-        Returns pickle bytes or a :class:`~repro.bsp.shm.ShmBlob`. When the
-        state's held table is (identically) the program's own
+        When the state's held table is (identically) the program's own
         ``held0[pid]`` — a leaf that never merged — the table ships as a
-        by-reference token and zero bytes move.
+        by-reference token and zero bytes of it move: every worker already
+        holds ``held0`` as program static data, the paper's
+        graph-loaded-on-every-machine dedup.
         """
         held = state.held
         ref = state.pid if held is self.held0.get(state.pid) else None
         if ref is not None:
             state.held = self._HELD_SENTINEL
         try:
-            payload = (ref, state)
-            if self.transport == "shm":
-                return shm.ship(payload, token=self.run_token)
-            return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            return pickle.dumps((ref, state), protocol=pickle.HIGHEST_PROTOCOL)
         finally:
             if ref is not None:
                 state.held = held
 
-    def _load_state(self, blob) -> PartitionState:
-        """Decode one shipped child state (either wire format)."""
-        if isinstance(blob, shm.ShmBlob):
-            ref, state = blob.load()
-        else:
-            ref, state = pickle.loads(blob)
+    def _load_state(self, blob: bytes) -> PartitionState:
+        """Decode one shipped child state."""
+        ref, state = pickle.loads(blob)
         if ref is not None:
             state.held = self.held0[ref]
         return state
-
-    @staticmethod
-    def _dispose_messages(messages: list) -> None:
-        """Unlink consumed message segments (post-merge, views are dead)."""
-        for blob in messages:
-            if isinstance(blob, shm.ShmBlob):
-                blob.dispose()
-
-    def cleanup_transport(self) -> None:
-        """Janitor: sweep any message segment this run left behind."""
-        if self.transport == "shm" and self.run_token:
-            shm.cleanup_token(self.run_token)
 
     # ---- the compute function (runs on any executor backend) --------------
     def __call__(
@@ -203,11 +169,9 @@ class SuperstepProgram:
                 edge_parts[0] if len(edge_parts) == 1 else np.concatenate(edge_parts)
             )
             remote_deg = state.remote_deg
-            # merge_states copies every surviving array, so no view into a
-            # message segment outlives the loop — safe to unlink now — and
-            # the merged leaves' level-0 rows have had their last reader.
+            # The children are merged in, and the merged leaves' level-0
+            # rows have had their last reader.
             del children
-            self._dispose_messages(messages)
             for leaf in state.member_leaves:
                 self.held0.pop(leaf, None)
             rec.add_time(CAT_CREATE, time.perf_counter() - t0)

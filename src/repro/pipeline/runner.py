@@ -104,21 +104,15 @@ def run_pipeline(graph: Graph, config: RunConfig) -> RunContext:
     # and commit machinery.
     executor = config.pool.session() if config.pool is not None else config.executor
     engine = BSPEngine(max_workers=config.workers, executor=executor,
-                       transport=config.task_transport, hosts=config.hosts)
+                       hosts=config.hosts)
     states = {pid: None for pid in range(ctx.n_parts)}
-    try:
-        ctx.final_states, ctx.run_stats = engine.run(
-            states,
-            program,
-            max_supersteps=n_levels + 2,
-            on_commit=program.make_commit(ctx.store),
-            check_abort=_make_checkpoint(token, faults),
-        )
-    finally:
-        # Janitor: a run that aborts between ship and receive (cancel,
-        # timeout, worker crash) would strand its message segments; sweep
-        # everything carrying this run's token.
-        program.cleanup_transport()
+    ctx.final_states, ctx.run_stats = engine.run(
+        states,
+        program,
+        max_supersteps=n_levels + 2,
+        on_commit=program.make_commit(ctx.store),
+        check_abort=_make_checkpoint(token, faults),
+    )
 
     _record_superstep_stages(ctx.run_stats)
     if token is not None:

@@ -11,7 +11,6 @@ carries plain data, never a handle to shared mutable planning state.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -149,8 +148,6 @@ class Setup:
             send_plan=send_plan,
             extras=extras,
             validate=cfg.validate,
-            transport=cfg.transport_name,
-            run_token=os.urandom(4).hex(),
         )
         if cfg.repair is not None:
             program = cfg.repair.build_program(pg, **program_kwargs)

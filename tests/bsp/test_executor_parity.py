@@ -18,12 +18,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bsp import EXECUTORS, BSPEngine, ComputeResult, make_executor
+from repro.bsp import (
+    EXECUTORS,
+    BSPEngine,
+    ComputeResult,
+    SharedPool,
+    make_executor,
+    shm,
+)
 from repro.core import find_euler_circuit, verify_circuit, walk_kernel
 from repro.errors import UnknownExecutorError
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs.remote import WorkerHost
+from repro.pipeline import RunConfig, run_pipeline
 
 BACKENDS = sorted(EXECUTORS)  # process, remote, serial, thread
 
@@ -107,6 +115,35 @@ def test_census_identical_across_backends(graphs, remote_hosts):
     assert (
         rows["serial"] == rows["thread"] == rows["process"] == rows["remote"]
     )
+
+
+@pytest.mark.parametrize("kind", ["thread", "process"])
+def test_shared_pool_repeated_runs_match_serial(graphs, kind):
+    """Three identical runs on one shared pool each equal a serial run.
+
+    The direct pin for per-run program keys: a process worker caches the
+    program of the run it serves, and a program drops its level-0 tables
+    as it runs, so a later identical run must never reuse that copy.
+    """
+    g = graphs["grid"]
+    before = set(shm.leaked_segments())
+    ref = find_euler_circuit(g, n_parts=4, seed=0, executor="serial")
+    with SharedPool(kind, max_workers=3) as pool:
+        for _ in range(3):
+            ctx = run_pipeline(g, RunConfig(n_parts=4, seed=0, pool=pool))
+            np.testing.assert_array_equal(
+                ref.circuit.vertices, ctx.circuit.vertices
+            )
+            np.testing.assert_array_equal(
+                ref.circuit.edge_ids, ctx.circuit.edge_ids
+            )
+            assert _fragment_census(ref.store) == _fragment_census(ctx.store)
+        if kind == "process" and shm.shm_available():
+            # The program payload went to workers through a segment.
+            assert pool.segment_stats()["attaches"] >= 1
+    # Pool close releases the program-payload segments with it.
+    assert pool.segment_stats() == {"segments": 0, "bytes": 0, "attaches": 0}
+    assert sorted(set(shm.leaked_segments()) - before) == []
 
 
 def test_unknown_executor_rejected(graphs):

@@ -7,8 +7,6 @@ pre-existing set, so concurrent runs on a shared box don't false-positive).
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -25,62 +23,6 @@ def no_new_segments():
     yield
     leaked = sorted(set(shm.leaked_segments()) - before)
     assert leaked == [], f"test leaked shm segments: {leaked}"
-
-
-# ---------------------------------------------------------------------------
-# ship / ShmBlob: the message transport
-# ---------------------------------------------------------------------------
-
-
-def test_ship_load_dispose_roundtrip():
-    obj = {
-        "a": np.arange(10_000, dtype=np.int64),
-        "b": np.linspace(0.0, 1.0, 513),
-        "meta": ("nested", 42),
-    }
-    blob = shm.ship(obj, token="t1")
-    assert isinstance(blob, shm.ShmBlob)
-    assert blob.nbytes == obj["a"].nbytes + obj["b"].nbytes
-
-    out = blob.load()
-    np.testing.assert_array_equal(out["a"], obj["a"])
-    np.testing.assert_array_equal(out["b"], obj["b"])
-    assert out["meta"] == obj["meta"]
-
-    assert blob.dispose() is True
-    assert blob.dispose() is False  # idempotent
-    # Views created by load() stay valid after unlink (POSIX semantics).
-    assert int(out["a"][-1]) == 9_999
-
-
-def test_ship_descriptor_survives_pickle():
-    obj = {"x": np.full(256, 7, dtype=np.int32)}
-    blob = shm.ship(obj)
-    try:
-        clone = pickle.loads(pickle.dumps(blob))
-        np.testing.assert_array_equal(clone.load()["x"], obj["x"])
-    finally:
-        blob.dispose()
-
-
-def test_ship_bufferless_objects_fall_back_to_bytes():
-    # No out-of-band buffers -> plain pickle bytes, no segment created.
-    payload = shm.ship({"plain": [1, 2, 3], "s": "text"})
-    assert isinstance(payload, bytes)
-    assert pickle.loads(payload) == {"plain": [1, 2, 3], "s": "text"}
-
-
-def test_cleanup_token_sweeps_only_its_run():
-    keep = shm.ship({"k": np.ones(64)}, token="keepme")
-    gone1 = shm.ship({"g": np.ones(64)}, token="sweep")
-    gone2 = shm.ship({"g": np.zeros(64)}, token="sweep")
-    assert isinstance(keep, shm.ShmBlob) and isinstance(gone1, shm.ShmBlob)
-    assert shm.cleanup_token("sweep") == 2
-    assert shm.cleanup_token("sweep") == 0  # already clean
-    # The other run's segment is untouched and still loadable.
-    np.testing.assert_array_equal(keep.load()["k"], np.ones(64))
-    keep.dispose()
-    assert not gone2.dispose()  # already unlinked by the janitor
 
 
 # ---------------------------------------------------------------------------

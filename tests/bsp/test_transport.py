@@ -1,14 +1,13 @@
-"""Unit tests for the frame protocol, task-transport codecs and placement.
+"""Unit tests for the frame protocol and placement.
 
-The parity suites prove the transports are invisible in pipeline *output*;
-this file pins the wire-level contracts they rely on: exact framing, byte
-accounting, writable receive-side arrays, allocation-bomb guards, host-spec
-parsing and the stable pid → slot map.
+The executor parity suite proves the remote wire is invisible in pipeline
+*output*; this file pins the wire-level contracts it relies on: exact
+framing, byte accounting, writable receive-side arrays, allocation-bomb
+guards, host-spec parsing and the stable pid → slot map.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import threading
@@ -18,10 +17,6 @@ import pytest
 
 from repro.bsp import shm
 from repro.bsp import transport as tr
-
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory not available"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -188,62 +183,3 @@ def test_static_placement_groups_tasks_by_pid():
     assert sorted(groups) == [0, 1]
     assert [t[0] for t in groups[0]] == [0, 2, 4]
     assert [t[0] for t in groups[1]] == [1, 3]
-
-
-# -- codecs ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", sorted(tr.TRANSPORTS))
-def test_codec_roundtrip(name):
-    if name == "shm" and not shm.shm_available():
-        pytest.skip("POSIX shared memory not available")
-    codec = tr.resolve_transport(name)
-    try:
-        obj = _payload()
-        back = codec.roundtrip(obj)
-        _assert_payload_equal(obj, back)
-        if name == "memory":
-            assert back is obj
-        else:
-            assert back is not obj
-    finally:
-        codec.close()
-
-
-def test_resolve_transport_defaults_and_errors():
-    assert tr.resolve_transport(None).name == "memory"
-    assert tr.resolve_transport("pickle").name == "pickle"
-    with pytest.raises(ValueError, match="unknown task transport"):
-        tr.resolve_transport("carrier-pigeon")
-    with pytest.raises(TypeError):
-        tr.resolve_transport(42)
-    codec = tr.resolve_transport("socket")
-    assert tr.resolve_transport(codec) is codec  # instances pass through
-
-
-@needs_shm
-def test_shm_codec_close_sweeps_stranded_segments():
-    codec = tr.resolve_transport("shm")
-    wire = codec.encode(_payload())  # encode without decode strands a segment
-    assert isinstance(wire, shm.ShmBlob)
-    codec.close()
-    # the autouse fixture asserts nothing is left behind
-
-
-def test_socket_codec_counts_wire_bytes():
-    tr.reset_wire_stats()
-    codec = tr.resolve_transport("socket")
-    obj = _payload()
-    blob = codec.encode(obj)
-    _assert_payload_equal(obj, codec.decode(blob))
-    stats = tr.wire_stats()
-    assert stats["messages"] == 1
-    assert stats["bytes_total"] == len(blob)
-    assert stats["buffer_bytes"] == obj["cols"].nbytes + obj["mask"].nbytes
-
-
-def test_pickle_codec_yields_real_bytes():
-    codec = tr.resolve_transport("pickle")
-    wire = codec.encode({"a": 1})
-    assert isinstance(wire, bytes)
-    assert pickle.loads(wire) == {"a": 1}

@@ -131,7 +131,7 @@ def test_async_front_end_over_preforked_engine(tmp_path):
             edges=list(zip(g.edge_u.tolist(), g.edge_v.tolist())))
         jobs = [
             client.submit("circuit", graph_key=up["graph_key"],
-                          config={"n_parts": 4, "transport": "shm"})
+                          config={"n_parts": 4})
             for _ in range(4)
         ]
         for sub in jobs:

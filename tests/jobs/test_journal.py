@@ -194,6 +194,8 @@ def test_config_round_trip_defaults_and_values():
     assert config_from_dict(payload) == config
     # None-valued fields are dropped, so defaults reproduce exactly.
     assert "executor" not in payload and "transport" not in payload
+    # A retired field an older journal may hold is accepted and ignored.
+    assert config_from_dict({"transport": "shm"}) == RunConfig()
 
 
 def test_config_from_dict_rejects_junk():

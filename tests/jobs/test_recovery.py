@@ -84,6 +84,33 @@ def test_queued_at_crash_is_requeued_and_completes(tmp_path):
         assert engine2.recovery_stats["terminal"] == 2
 
 
+def test_retired_transport_field_in_journaled_config_is_ignored(tmp_path):
+    """A spec journaled while ``transport`` was a wire field still runs.
+
+    Every transport gave the same circuit, so recovery ignores the field
+    and the job finishes with the serial digest.
+    """
+    g = random_eulerian(40, 4, 12, seed=5)
+    serial = run_scenario(g, "circuit", RunConfig(n_parts=2))
+    key = GraphCatalog(tmp_path / "cat").put(g)
+    journal = JobJournal(tmp_path / "journal")
+    journal.append(
+        "submitted", "job-000003", scenario="circuit", graph_key=key,
+        config={"n_parts": 2, "transport": "shm"}, priority=0, name="",
+        timeout_seconds=None, max_retries=0, idempotency_key=None,
+    )
+    journal.close()
+
+    with _engine(tmp_path, tmp_path / "journal") as engine:
+        assert engine.recovery_stats["requeued"] == 1
+        result = engine.handle("job-000003").result(timeout=60)
+        assert engine.job("job-000003").state == DONE
+        assert len(result.circuits) == len(serial.circuits)
+        for a, b in zip(serial.circuits, result.circuits):
+            assert np.array_equal(a.vertices, b.vertices)
+            assert np.array_equal(a.edge_ids, b.edge_ids)
+
+
 def test_running_at_crash_consumes_an_attempt(tmp_path):
     g = random_eulerian(40, 4, 12, seed=6)
     key = GraphCatalog(tmp_path / "cat").put(g)

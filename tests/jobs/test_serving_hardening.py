@@ -25,8 +25,17 @@ from repro.errors import (
     JobResultEvictedError,
     QueueFullError,
 )
-from repro.jobs import CANCELLED, DONE, FAILED, GraphCatalog, JobEngine
+from repro.bench.report_io import load_job_summary
+from repro.jobs import (
+    CANCELLED,
+    DONE,
+    FAILED,
+    RUNNING,
+    GraphCatalog,
+    JobEngine,
+)
 from repro.jobs.client import JobClient, JobClientError
+from repro.jobs.journal import JobJournal
 from repro.jobs.queue import Job, JobQueue
 from repro.jobs.server import MAX_WIRE_PRIORITY, make_server
 from repro.pipeline import RunConfig
@@ -365,6 +374,47 @@ def test_http_evicted_job_status_and_result_still_served(tmp_path, triangle):
     finally:
         server.shutdown()
         server.server_close()
+        engine.close()
+
+
+def test_status_turns_terminal_only_when_the_queue_commits(tmp_path, triangle):
+    """A finishing job reads RUNNING until ``queue.finish`` commits it.
+
+    The artifact is written and the terminal journal record is appended
+    first; holding that append open must not let a status read see DONE
+    while the job's handle is still pending and its retention trim has not
+    run (what made evicted-job lookups flaky).
+    """
+    journal = JobJournal(tmp_path / "journal")
+    in_append, release = threading.Event(), threading.Event()
+    append = journal.append
+
+    def held_append(event, job_id, **fields):
+        if event == "done":
+            in_append.set()
+            assert release.wait(60), "test never released the append"
+        return append(event, job_id, **fields)
+
+    journal.append = held_append
+    engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
+                       pool_kind=None, retention=1, journal=journal,
+                       artifact_dir=tmp_path / "arts")
+    try:
+        handle = engine.submit("circuit", graph=triangle,
+                               config=RunConfig(n_parts=2))
+        assert in_append.wait(60)
+        try:
+            assert engine.job_summary(handle.job_id)["state"] == RUNNING
+            assert not handle.done()
+            # The durable artifact already records the terminal state.
+            assert load_job_summary(tmp_path / "arts",
+                                    handle.job_id)["state"] == DONE
+        finally:
+            release.set()
+        handle.result(timeout=60)
+        assert engine.job_summary(handle.job_id)["state"] == DONE
+    finally:
+        release.set()
         engine.close()
 
 
