@@ -4,9 +4,10 @@ The paper generates its inputs with a parallel R-MAT tool [35] at an average
 undirected degree of 5 and default quadrant probabilities. R-MAT (Chakrabarti
 et al., SDM 2004) places each edge by descending ``log2(n)`` levels of a
 2x2 recursive partition of the adjacency matrix, picking quadrant
-``(a, b, c, d)`` at every level. We draw all bits for all edges at once with
-NumPy — one ``(n_edges, scale)`` uniform matrix per endpoint axis — so the
-generator is fast enough for the benchmark harness without compiled code.
+``(a, b, c, d)`` at every level. NumPy draws the bits for a block of edges
+at a time, all row bits before all column bits, so the generator is fast
+enough for the benchmark harness without compiled code and holds O(n_edges)
+int64 words rather than two ``(n_edges, scale)`` float matrices.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ __all__ = ["rmat_graph", "RMAT_DEFAULTS"]
 #: Default quadrant probabilities, the common (0.57, 0.19, 0.19, 0.05)
 #: "Graph500-style" skew that yields a power-law degree distribution.
 RMAT_DEFAULTS = (0.57, 0.19, 0.19, 0.05)
+
+#: Uniforms drawn per block (2 MB of float64). One ``(n_edges, scale)`` draw
+#: per axis holds ~20 B per edge and level at once (the doubles, the bit
+#: matrices, the column probabilities): ~300 B per edge, where the graph it
+#: returns takes 16. Blocks hold O(n_edges) int64 words instead, and read
+#: the generator's stream in the same order as one call, so the block size
+#: does not change the output.
+_BLOCK_DRAWS = 1 << 18
 
 
 def rmat_graph(
@@ -59,7 +68,11 @@ def rmat_graph(
     """
     if scale < 0:
         raise ValueError("scale must be non-negative")
+    if avg_degree < 0:
+        raise ValueError(f"avg_degree must be non-negative, got {avg_degree}")
     a, b, c, d = probs
+    if min(probs) < 0:
+        raise ValueError(f"quadrant probabilities must be non-negative, got {probs}")
     total = a + b + c + d
     if not np.isclose(total, 1.0):
         raise ValueError(f"quadrant probabilities must sum to 1, got {total}")
@@ -77,13 +90,22 @@ def rmat_graph(
     p_col1_given_row0 = b / (a + b) if (a + b) > 0 else 0.0
     p_col1_given_row1 = d / (c + d) if (c + d) > 0 else 0.0
 
-    row_bits = rng.random((m, scale)) < p_row1
-    col_prob = np.where(row_bits, p_col1_given_row1, p_col1_given_row0)
-    col_bits = rng.random((m, scale)) < col_prob
-
+    # All row uniforms, then all column uniforms, in row-major order: the
+    # stream one ``(m, scale)`` draw per axis would read. A row's bits are
+    # recovered from ``u`` rather than kept.
     weights = (1 << np.arange(scale - 1, -1, -1, dtype=np.int64))
-    u = row_bits @ weights
-    v = col_bits @ weights
+    rows = max(1, _BLOCK_DRAWS // scale)
+    blocks = [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    u = np.empty(m, dtype=np.int64)
+    v = np.empty(m, dtype=np.int64)
+    for blk in blocks:
+        k = blk.stop - blk.start
+        u[blk] = (rng.random((k, scale)) < p_row1) @ weights
+    for blk in blocks:
+        k = blk.stop - blk.start
+        row_bits = (u[blk, None] & weights) != 0
+        col_prob = np.where(row_bits, p_col1_given_row1, p_col1_given_row0)
+        v[blk] = (rng.random((k, scale)) < col_prob) @ weights
 
     if drop_self_loops:
         keep = u != v

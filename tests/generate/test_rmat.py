@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.generate import rmat
 from repro.generate.rmat import RMAT_DEFAULTS, rmat_graph
 
 
@@ -69,9 +70,26 @@ def test_bad_probs_raise():
         rmat_graph(5, probs=(0.5, 0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         rmat_graph(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        rmat_graph(5, probs=(0.7, -0.1, 0.2, 0.2))
+    with pytest.raises(ValueError, match="avg_degree"):
+        rmat_graph(5, avg_degree=-1.0)
 
 
 def test_generator_instance_accepted():
     rng = np.random.default_rng(9)
     g = rmat_graph(8, seed=rng)
     assert g.n_edges > 0
+
+
+@pytest.mark.parametrize("block_draws", [1, 7, 100])
+def test_block_size_does_not_change_the_output(monkeypatch, block_draws):
+    """Many small blocks read the stream as one block does, and leave a
+    caller's generator at the same position."""
+    def draw():
+        rng = np.random.default_rng(3)
+        graphs = [rmat_graph(scale, 6.0, seed=rng) for scale in range(1, 10)]
+        return graphs, rng.random()
+    want = draw()
+    monkeypatch.setattr(rmat, "_BLOCK_DRAWS", block_draws)
+    assert draw() == want
