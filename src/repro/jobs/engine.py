@@ -8,10 +8,17 @@ things the per-request path rebuilt on every call:
 * one **shared executor pool** (:class:`~repro.bsp.executors.SharedPool`) —
   handed to every pipeline run through ``RunConfig.pool``, so supersteps
   execute on persistent workers instead of a per-run pool;
-* the **dispatcher threads** — each pops the highest-priority job, hydrates
-  its config with catalog artifacts and the pool, runs the scenario, and
-  writes the durable per-job artifact JSON (schema v5) with the full pass
-  history.
+* the **dispatcher threads** — each pops the highest-priority job, turns
+  it into a spec, hands the spec to the engine's dispatcher and lands the
+  spec-out that comes back (:meth:`JobEngine._run_job`): the durable
+  per-job artifact JSON (schema v5) with the full pass history, a retry,
+  or a terminal failure.
+
+Spec → spec-out is the only contract between the engine and a dispatcher
+(:mod:`repro.jobs.dispatch`), and every dispatcher runs the spec through
+the same :func:`~repro.jobs.dispatch._run_spec`: on the dispatcher thread
+in thread mode, in a forked worker in process mode, on a worker host in
+remote mode.
 
 Concurrent jobs produce bit-identical results to serial
 :func:`~repro.scenarios.base.run_scenario` calls: the pipeline's outcome is
@@ -39,9 +46,10 @@ Fault tolerance (the crash-safety layer on top):
   exponential backoff and deterministic jitter, up to the job's
   ``max_retries``; permanent job errors never retry;
 * **supervision** — the forked worker pool heartbeats, hang-kills and
-  respawns its workers under a budgeted circuit breaker; while the breaker
-  is open the engine *degrades* process-mode jobs to in-process execution
-  instead of feeding a crash loop;
+  respawns its workers under a budgeted circuit breaker, and the remote
+  pool cools dead hosts down; while a pool's circuit is open the engine
+  *degrades* its jobs to the in-process dispatcher instead of feeding a
+  crash loop;
 * **drain** — :meth:`drain` stops intake (HTTP 503 at the front ends),
   lets running jobs finish inside a deadline, then checkpoints the journal
   so still-queued jobs survive to the next start.
@@ -62,7 +70,6 @@ import random
 import re
 import threading
 import time
-import traceback
 import uuid
 from collections import deque
 from dataclasses import replace
@@ -72,27 +79,19 @@ from ..bsp import shm
 from ..bsp import transport as frame
 from ..bsp.executors import SharedPool
 from ..deltas import GraphDelta, RepairSession
-from ..errors import (
-    EngineDrainingError,
-    JobError,
-    RunCancelledError,
-    TransientJobError,
-)
+from ..errors import EngineDrainingError, JobError, TransientJobError
 from ..faults import FaultPlan
-from ..obs import (
-    REQUIRED_FAMILIES,
-    MetricsRegistry,
-    SpanRecorder,
-    get_registry,
-    use_registry,
-    use_trace,
-)
+from ..obs import MetricsRegistry, get_registry
 from ..pipeline.cancel import CancelToken
 from ..pipeline.context import RunConfig
-from ..scenarios.base import run_scenario
 from . import supervise
 from .catalog import GraphCatalog
-from .dispatch import ForkedWorkerPool
+from .dispatch import (
+    ForkedWorkerPool,
+    InProcessDispatcher,
+    _describe,
+    _is_transient,
+)
 from .remote import RemoteHostPool
 from .journal import (
     JobJournal,
@@ -114,20 +113,6 @@ from .queue import (
 )
 
 __all__ = ["JobEngine"]
-
-#: Exception class names (stdlib executor breakage) treated as transient.
-_TRANSIENT_CLASS_NAMES = frozenset(
-    {"BrokenProcessPool", "BrokenThreadPool", "BrokenExecutor"}
-)
-
-
-def _is_transient(exc: BaseException) -> bool:
-    """Whether a failure is infrastructure (retryable), not the job's fault."""
-    if isinstance(exc, TransientJobError):
-        return True
-    if isinstance(exc, (EOFError, BrokenPipeError)):
-        return True
-    return type(exc).__name__ in _TRANSIENT_CLASS_NAMES
 
 
 class JobEngine:
@@ -265,15 +250,23 @@ class JobEngine:
         )
         self.dispatcher = dispatcher
         self.dispatchers = dispatchers
-        self._remote = None
+        self._owns_pool = False
+        self.pool = None
+        if dispatcher == "thread":
+            self._owns_pool = pool is None and pool_kind is not None
+            self.pool = pool if pool is not None else (
+                SharedPool(pool_kind, pool_workers) if pool_kind is not None else None
+            )
+        #: Thread mode's dispatcher, and every mode's fallback while its
+        #: pool's circuit is open.
+        self._in_process = InProcessDispatcher(self.catalog, self.pool,
+                                               self.metrics)
         if dispatcher == "process":
-            self._owns_pool = False
-            self.pool = None
             # Fork the workers *before* any dispatcher thread exists: a
             # single-threaded parent makes fork semantics trivial (no lock
             # can be mid-held in the children).
-            self._forked = ForkedWorkerPool(
-                dispatchers, self.catalog.root,
+            self._dispatcher = ForkedWorkerPool(
+                dispatchers, self.catalog,
                 hang_timeout=hang_timeout,
                 respawn_budget=respawn_budget,
                 respawn_window=respawn_window,
@@ -281,25 +274,14 @@ class JobEngine:
                 metrics=self.metrics,
             )
         elif dispatcher == "remote":
-            self._owns_pool = False
-            self.pool = None
-            self._forked = None
-            self._remote = RemoteHostPool(
+            self._dispatcher = RemoteHostPool(
                 hosts, self.catalog,
                 hang_timeout=hang_timeout,
                 host_cooldown=host_cooldown,
                 metrics=self.metrics,
             )
         else:
-            self._owns_pool = pool is None and pool_kind is not None
-            self.pool = pool if pool is not None else (
-                SharedPool(pool_kind, pool_workers) if pool_kind is not None else None
-            )
-            self._forked = None
-        #: job id → worker slot for RUNNING jobs (process mode) — how
-        #: :meth:`cancel` finds the flag to raise.
-        self._job_slots: dict[str, int] = {}
-        self._slots_lock = threading.Lock()
+            self._dispatcher = self._in_process
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
         self.keep_results = keep_results
         self.default_timeout = default_timeout
@@ -477,20 +459,17 @@ class JobEngine:
             raise
         if self.queue.cancel(job_id):
             self.catalog.unpin(job.graph_key)
-            # Cancelled-while-queued jobs never reach a dispatcher; write
-            # their artifact here so the registry can evict them too.
+            # Cancelled-while-queued jobs never reach a dispatcher (nor
+            # _finish): drop the repair session and write their artifact
+            # here, so neither a watch's session nor the registry entry
+            # outlives its use.
+            job.config = replace(job.config, repair=None)
             self._write_artifact(job, CANCELLED, swallow_errors=True)
             self._journal_event("cancelled", job)
             return True
         if job.state == RUNNING and job.cancel_token is not None:
             job.cancel_token.cancel()
-            if self._forked is not None:
-                with self._slots_lock:
-                    slot = self._job_slots.get(job_id)
-                if slot is not None:
-                    self._forked.cancel(slot)
-            if self._remote is not None:
-                self._remote.cancel(job_id)
+            self._dispatcher.cancel(job_id)
             return True
         return False
 
@@ -935,34 +914,41 @@ class JobEngine:
                     return
                 continue
             self._journal_event("started", job, attempt=job.attempt)
-            if self._forked is not None and self._forked.circuit_open():
-                # Graceful degradation: the worker pool is crash-looping;
-                # run in-process (slower, shared GIL) rather than feeding
-                # jobs to workers that keep dying.
+            dispatcher = self._dispatcher
+            if dispatcher.circuit_open():
+                # Graceful degradation: the worker pool is crash-looping or
+                # every host is down; run in-process (slower, shared GIL)
+                # rather than feed jobs to workers that keep dying.
                 self._degraded_jobs += 1
                 self.metrics.counter("repro_degraded_dispatch_total").inc()
                 job.record_pass("degraded_dispatch", 0.0,
-                                reason="worker circuit breaker open")
-                self._run_job(job)
-            elif self._forked is not None:
-                self._run_job_forked(job, slot)
-            elif self._remote is not None and self._remote.circuit_open():
-                # Every registered host is down/cooling: run on the
-                # coordinator itself rather than queueing into the void.
-                self._degraded_jobs += 1
-                self.metrics.counter("repro_degraded_dispatch_total").inc()
-                job.record_pass("degraded_dispatch", 0.0,
-                                reason="remote host circuit open")
-                self._run_job(job)
-            elif self._remote is not None:
-                self._run_job_remote(job)
-            else:
-                self._run_job(job)
+                                reason=dispatcher.degrade_reason)
+                dispatcher = self._in_process
+            self._run_job(job, dispatcher, slot)
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job, dispatcher, slot: int) -> None:
+        """Run ``job`` on ``dispatcher`` and land its spec-out.
+
+        The one place a dispatched job is finished, retried, unpinned and
+        trimmed, whichever dispatcher ran it. A dispatcher raises only for
+        trouble outside the run — a dead or hung worker, an unreachable
+        host (:class:`~repro.errors.TransientJobError`), a parent-side
+        failure — and that lands here too, classified by the same
+        transient rule the runner applies to failures inside the run.
+        """
         retried = False
+        started = time.perf_counter()
         try:
-            retried = self._run_job_inner(job)
+            out = dispatcher.run_job(job, self._job_spec(job), slot)
+            retried = self._apply_spec_out(job, out)
+        except Exception as exc:  # a failed job must never kill its dispatcher
+            infra = isinstance(exc, TransientJobError)
+            detail = str(exc) if infra else _describe(exc)
+            job.record_pass(dispatcher.failure_pass if infra else "error",
+                            time.perf_counter() - started, error=detail)
+            retried = _is_transient(exc) and self._schedule_retry(job, detail)
+            if not retried:
+                self._finish(job, FAILED, error=detail)
         finally:
             if not retried:
                 self.catalog.unpin(job.graph_key)
@@ -977,99 +963,54 @@ class JobEngine:
             while len(self._resident) > self.keep_results:
                 self._resident.popleft().result = None
 
-    def _armed_faults(self, job: Job):
-        """The job's fault plan, armed for its current attempt.
+    def _job_spec(self, job: Job) -> dict:
+        """The spec every dispatcher runs (see :mod:`repro.jobs.dispatch`).
 
-        A plan rides either the job's own config or the process-wide
-        ``REPRO_FAULTS`` variable; the attempt arming is what makes retried
-        runs execute clean (see :meth:`~repro.faults.FaultPlan.for_attempt`).
+        Its config carries no process-local state — no pool, cancel token,
+        catalog artifacts or repair session — so it can cross a pipe or a
+        socket; the in-process dispatcher re-injects the pool and the
+        repair session from the job itself. The fault plan (the job's own
+        or the process-wide ``REPRO_FAULTS``) is armed for the current
+        attempt, which is what makes retried runs execute clean (see
+        :meth:`~repro.faults.FaultPlan.for_attempt`).
         """
         plan = job.config.faults
         if plan is None:
             plan = FaultPlan.from_env()
-        if plan is None:
-            return None
-        return plan.for_attempt(job.attempt)
+        return {
+            "job_id": job.id,
+            "scenario": job.scenario,
+            "graph_key": job.graph_key,
+            "config": replace(
+                job.config, pool=None, cancel=None, derived=None,
+                repair=None,
+                faults=None if plan is None else plan.for_attempt(job.attempt),
+            ),
+            "graph_descriptor": None,
+            "timeout_seconds": job.timeout_seconds,
+            "trace_id": job.trace_id,
+        }
 
-    def _run_job_inner(self, job: Job) -> bool:
-        """Run one job in-process; returns True when a retry was scheduled."""
-        started = time.perf_counter()
-        try:
-            token = job.cancel_token
-            if token is not None:
-                # The deadline budgets *run* time: restart the clock now
-                # that the job left the queue (queue latency is unbounded
-                # under load and not the job's fault).
-                token.arm()
-            t0 = time.perf_counter()
-            graph = self.catalog.get(job.graph_key)
-            job.record_pass("load_graph", time.perf_counter() - t0,
-                            graph_key=job.graph_key)
-
-            t0 = time.perf_counter()
-            derived = self.catalog.derived_for(job.graph_key, job.config, job.scenario)
-            job.record_pass("derived_artifacts", time.perf_counter() - t0,
-                            artifacts=sorted(derived))
-
-            config = job.config
-            if self.pool is not None and config.pool is None:
-                config = replace(config, pool=self.pool)
-            config = replace(config, derived=derived, cancel=token,
-                             faults=self._armed_faults(job))
-            # The backend the job actually runs on (post pool injection) —
-            # what status rows and the batch report must attribute to.
-            job.executor = config.executor_name
-
-            t0 = time.perf_counter()
-            # Ambient registry + trace installed for the run: deep call
-            # sites (walk cache, shm attach) charge this engine's
-            # registry, and stage spans recorded anywhere in the pipeline
-            # land both in repro_stage_seconds and — via the recorder —
-            # in the job's durable pass history as ``stage:<name>`` rows.
-            recorder = SpanRecorder()
-            with use_registry(self.metrics), use_trace(job.trace_id), recorder:
-                result = run_scenario(graph, job.scenario, config)
-            # Keep (and write) what forked and remote jobs ship home: the
-            # walks and reports, not the run's bookkeeping.
-            result.compact()
-            job.record_pass(
-                "run_scenario", time.perf_counter() - t0,
-                executor=config.executor_name,
-                n_sub_runs=len(result.sub_runs),
-                walk_edges=int(sum(c.n_edges for c in result.circuits)),
-            )
-            for span in recorder.spans:
-                extra = {k: v for k, v in span.items()
-                         if k not in ("stage", "wall")}
-                job.record_pass("stage:" + span["stage"], span["wall"],
-                                **extra)
-            if config.repair is not None:
-                # The decision plus live hit/miss counters — how much of
-                # this run was replayed vs recomputed.
-                job.record_pass("repair", 0.0, **config.repair.report())
-            job.result = result
+    def _apply_spec_out(self, job: Job, out: dict) -> bool:
+        """Land a spec-out; True when a retry was scheduled."""
+        job.passes.extend(out.get("passes", []))
+        # Worker-side counter/histogram increments (walk-cache hits, stage
+        # latencies) fold into the coordinator's registry, so one scrape
+        # covers the whole dispatch tree regardless of where jobs ran.
+        self.metrics.merge_state(out.get("metrics_delta") or {})
+        job.executor = out.get("executor", "") or job.executor
+        state = out["state"]
+        if state == DONE:
+            job.result = out["result"]
             self._finish(job, DONE)
-            return False
-        except RunCancelledError as exc:
-            # Cooperative stop at a safe point. The passes recorded so far
-            # ARE the partial pass history — persisted with the terminal
-            # state so the artifact audits how far the job got.
-            job.record_pass("cancelled", time.perf_counter() - started,
-                            reason=exc.reason, where=exc.where)
-            if exc.reason == "timeout":
-                self._finish(job, FAILED, error=str(exc))
-            else:
-                self._finish(job, CANCELLED)
-            return False
-        except Exception as exc:  # a failed job must never kill its dispatcher
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-            job.record_pass("error", 0.0, error=detail)
-            if _is_transient(exc) and self._schedule_retry(job, detail):
+        elif state == CANCELLED:
+            self._finish(job, CANCELLED)
+        else:
+            error = out.get("error") or "job failed"
+            if out.get("transient") and self._schedule_retry(job, error):
                 return True
-            self._finish(job, FAILED, error=detail)
-            return False
+            self._finish(job, FAILED, error=error)
+        return False
 
     # -- retry/backoff ------------------------------------------------------
 
@@ -1120,138 +1061,6 @@ class JobEngine:
         self.catalog.unpin(job.graph_key)
         self._trim_resident(job)
 
-    # -- pre-forked dispatch (process mode) ---------------------------------
-
-    def _run_job_forked(self, job: Job, slot: int) -> None:
-        retried = False
-        try:
-            retried = self._run_job_forked_inner(job, slot)
-        finally:
-            with self._slots_lock:
-                self._job_slots.pop(job.id, None)
-            self._forked.clear(slot)
-            if not retried:
-                self.catalog.unpin(job.graph_key)
-                self._trim_resident(job)
-
-    def _run_job_forked_inner(self, job: Job, slot: int) -> bool:
-        started = time.perf_counter()
-        try:
-            self._forked.clear(slot)
-            with self._slots_lock:
-                self._job_slots[job.id] = slot
-            token = job.cancel_token
-            if token is not None and token.cancelled:
-                # A cancel that landed between pop() and slot registration
-                # found no slot to flag; raise it now so the worker stops
-                # at its first checkpoint.
-                self._forked.cancel(slot)
-
-            t0 = time.perf_counter()
-            # Compute (and persist) the derived artifacts parent-side; the
-            # worker re-reads them as a disk-cache hit instead of receiving
-            # the arrays through the pipe.
-            self.catalog.derived_for(job.graph_key, job.config, job.scenario)
-            job.record_pass("persist_derived", time.perf_counter() - t0)
-
-            out = self._forked.run(slot, self._job_spec(job))
-            return self._apply_spec_out(job, out)
-        except TransientJobError as exc:
-            # Worker death or hang: the pool already respawned the slot;
-            # the job retries (budget permitting) on the fresh worker.
-            detail = str(exc)
-            job.record_pass("worker_failure", time.perf_counter() - started,
-                            error=detail)
-            if self._schedule_retry(job, detail):
-                return True
-            self._finish(job, FAILED, error=detail)
-            return False
-        except Exception as exc:  # parent-side failure must not kill the loop
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-            job.record_pass("error", time.perf_counter() - started,
-                            error=detail)
-            self._finish(job, FAILED, error=detail)
-            return False
-
-    def _job_spec(self, job: Job) -> dict:
-        """The wire spec shipped to a forked worker or a remote host."""
-        t0 = time.perf_counter()
-        descriptor = self.catalog.share(job.graph_key)
-        job.record_pass("share_graph", time.perf_counter() - t0,
-                        graph_key=job.graph_key,
-                        shared=descriptor is not None)
-        return {
-            "job_id": job.id,
-            "scenario": job.scenario,
-            "graph_key": job.graph_key,
-            "config": replace(job.config, pool=None, cancel=None,
-                              derived=None, repair=None,
-                              faults=self._armed_faults(job)),
-            "graph_descriptor": descriptor,
-            "timeout_seconds": job.timeout_seconds,
-            "trace_id": job.trace_id,
-        }
-
-    def _apply_spec_out(self, job: Job, out: dict) -> bool:
-        """Land a worker/host result dict; True when a retry was scheduled."""
-        for name, seconds, extra in out.get("passes", []):
-            job.record_pass(name, seconds, **extra)
-        # Worker-side counter/histogram increments (walk-cache hits, stage
-        # latencies) fold into the coordinator's registry, so one scrape
-        # covers the whole dispatch tree regardless of where jobs ran.
-        self.metrics.merge_state(out.get("metrics_delta") or {})
-        job.executor = out.get("executor", "") or job.executor
-        state = out["state"]
-        if state == DONE:
-            job.result = out["result"]
-            self._finish(job, DONE)
-        elif state == CANCELLED:
-            self._finish(job, CANCELLED)
-        else:
-            error = out.get("error") or "job failed"
-            if out.get("transient") and self._schedule_retry(job, error):
-                return True
-            self._finish(job, FAILED, error=error)
-        return False
-
-    # -- remote dispatch (coordinator mode) ----------------------------------
-
-    def _run_job_remote(self, job: Job) -> None:
-        retried = False
-        try:
-            retried = self._run_job_remote_inner(job)
-        finally:
-            if not retried:
-                self.catalog.unpin(job.graph_key)
-                self._trim_resident(job)
-
-    def _run_job_remote_inner(self, job: Job) -> bool:
-        started = time.perf_counter()
-        try:
-            spec = self._job_spec(job)
-            out = self._remote.run(spec)
-            return self._apply_spec_out(job, out)
-        except TransientJobError as exc:
-            # Host death, hang, or total unreachability: the pool marked
-            # the host down; the retry re-dispatches to a surviving one.
-            detail = str(exc)
-            job.record_pass("host_failure", time.perf_counter() - started,
-                            error=detail)
-            if self._schedule_retry(job, detail):
-                return True
-            self._finish(job, FAILED, error=detail)
-            return False
-        except Exception as exc:  # coordinator-side failure: contain it
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-            job.record_pass("error", time.perf_counter() - started,
-                            error=detail)
-            self._finish(job, FAILED, error=detail)
-            return False
-
     def _finish(self, job: Job, state: str, error: str | None = None) -> None:
         """Land a running job in a terminal state: artifact, journal, queue.
 
@@ -1262,7 +1071,13 @@ class JobEngine:
         handle is still pending and whose registry trim has not run. A
         DONE artifact that cannot be written raises, so the caller fails
         the job instead of reporting a result with no durable record.
+
+        The job's repair session goes here: a watch's session (its
+        per-partition Phase-1 captures) must die with the watch, not live
+        on in every retained emission job.
         """
+        if job.config.repair is not None:
+            job.config = replace(job.config, repair=None)
         job.finished_at = time.time()
         self._write_artifact(job, state, error, swallow_errors=state != DONE)
         fields = {} if error is None else {"error": error}
@@ -1384,10 +1199,7 @@ class JobEngine:
         self.queue.close()
         for t in self._threads:
             t.join()
-        if self._forked is not None:
-            self._forked.close()
-        if self._remote is not None:
-            self._remote.close()
+        self._dispatcher.close()
         if self.pool is not None and self._owns_pool:
             self.pool.close()
         if self.journal is not None:
@@ -1478,17 +1290,10 @@ class JobEngine:
                                labelnames=("kind",))
         for kind, n in self.catalog.stats.items():
             cat_family.labels(kind=kind).set_total(n)
-        breaker_g = m.gauge("repro_breaker_open", labelnames=("pool",))
-        if self._forked is not None:
-            breaker_g.labels(pool="forked").set(
-                1 if self._forked.circuit_open() else 0)
-        if self._remote is not None:
-            breaker_g.labels(pool="remote").set(
-                1 if self._remote.circuit_open() else 0)
-        m.counter("repro_retries_scheduled_total").labels().set_total(
-            self._retries_scheduled)
-        m.counter("repro_degraded_dispatch_total").labels().set_total(
-            self._degraded_jobs)
+        pool = self._dispatcher
+        if isinstance(pool, supervise.SupervisedPool):
+            m.gauge("repro_breaker_open", labelnames=("pool",)).labels(
+                pool=pool.pool_label).set(1 if pool.circuit_open() else 0)
         if self.journal is not None:
             m.counter("repro_journal_appends_total").labels().set_total(
                 self.journal.appended)

@@ -13,27 +13,28 @@ Two halves, speaking the length-prefixed frame protocol of
       int64 columns cross as raw out-of-band frame buffers, and the
       superstep program arrives as one ``install`` frame that lives as
       long as its connection;
-    * ``run_job`` — one whole job spec, executed through the *same*
-      :func:`repro.jobs.dispatch._run_spec` the forked dispatcher workers
-      use, so catalog attach fallbacks, derived-artifact reuse, cancel
-      semantics and the pass history are identical to single-machine
-      serving.
+    * ``run_job`` — one whole job spec, executed by
+      :func:`repro.jobs.dispatch._run_spec`, the runner every dispatcher
+      uses, so catalog attach fallbacks, derived-artifact reuse, cancel
+      semantics, failure classification and the pass history are
+      identical to single-machine serving.
 
     Control operations (``cancel``, ``ping``, ``ensure_graph``,
     ``put_graph``) arrive on separate connections served by their own
     threads, so a host mid-job stays steerable.
 
 :class:`RemoteHostPool`
-    The coordinator side, mirroring :class:`ForkedWorkerPool`'s contract
-    for :class:`~repro.jobs.engine.JobEngine`'s ``dispatcher="remote"``
-    mode: jobs prefer their graph's home host (content-hash sharding via
+    The coordinator side: one of :class:`~repro.jobs.engine.JobEngine`'s
+    three dispatchers (``run_job(job, spec, slot)`` → spec-out, see
+    :mod:`repro.jobs.dispatch`), used in ``dispatcher="remote"`` mode:
+    jobs prefer their graph's home host (content-hash sharding via
     :func:`~repro.jobs.catalog.shard_of`) with work-stealing when the home
     is busy, missing graphs are provisioned host-side as raw NPZ bytes
     (re-keyed on arrival, so transfer corruption cannot poison a shard),
     and a host that drops its socket or stops heartbeating mid-job is
     marked down for a cooldown while the job surfaces as a
-    :class:`~repro.errors.TransientJobError` — PR 7's retry/backoff
-    machinery then re-dispatches it to a surviving host.
+    :class:`~repro.errors.TransientJobError` — the engine's retry/backoff
+    then re-dispatches it to a surviving host.
 
 Failure semantics: a host death loses only the jobs running on it, never
 acknowledged state (the journal lives with the coordinator); a dead host's
@@ -50,7 +51,6 @@ import pickle
 import socket
 import threading
 import time
-import traceback
 from pathlib import Path
 
 from ..bsp import shm
@@ -58,7 +58,7 @@ from ..bsp import transport as frame
 from ..bsp.executors import run_task
 from ..errors import TransientJobError
 from .catalog import GraphCatalog, shard_of
-from .dispatch import _run_spec
+from .dispatch import _describe, _serve_spec, _share_graph
 from .supervise import SupervisedPool
 
 __all__ = ["WorkerHost", "RemoteHostPool", "worker_serve"]
@@ -197,9 +197,7 @@ class WorkerHost:
                     else:
                         reply = self._dispatch(msg)
                 except Exception as exc:  # must never kill the connection
-                    detail = "".join(traceback.format_exception_only(
-                        type(exc), exc)).strip()
-                    reply = {"ok": False, "error": detail}
+                    reply = {"ok": False, "error": _describe(exc)}
                 try:
                     frame.send_frame(sock, reply, stats=self.wire)
                 except OSError:
@@ -261,9 +259,8 @@ class WorkerHost:
         try:
             triple = run_task(prog, tuple(msg["task"]))
         except BaseException as exc:
-            detail = "".join(traceback.format_exception_only(
-                type(exc), exc)).strip()
-            return {"ok": False, "error": detail, "exc": _pickle_exc(exc)}
+            return {"ok": False, "error": _describe(exc),
+                    "exc": _pickle_exc(exc)}
         return {"ok": True, "triple": triple}
 
     # -- whole-job serving (the remote dispatcher's host side) ---------------
@@ -282,8 +279,8 @@ class WorkerHost:
                 self._flags.clear(0)
             self._active_job = job_id
         try:
-            out = _run_spec(spec, self._flags, 0, self.catalog,
-                            self._graph_cache, heartbeats=self._heartbeats)
+            out = _serve_spec(spec, self._flags, 0, self.catalog,
+                              self._graph_cache, heartbeats=self._heartbeats)
         finally:
             with self._lock:
                 self._active_job = None
@@ -308,9 +305,9 @@ class WorkerHost:
 class RemoteHostPool(SupervisedPool):
     """Coordinator-side scheduling and supervision over N worker hosts.
 
-    The :class:`ForkedWorkerPool` contract, lifted over sockets: ``run``
-    blocks a dispatcher thread until a host finishes (or dies under) the
-    job, ``cancel`` steers a running job, ``circuit_open`` reports whether
+    The dispatcher protocol lifted over sockets: :meth:`run_job` blocks a
+    dispatcher thread until a host finishes (or dies under) the job,
+    ``cancel`` steers a running job, ``circuit_open`` reports whether
     every host is in its down cooldown (the engine then degrades to
     in-process dispatch), ``supervisor_stats`` feeds ``/healthz``. Unlike
     the forked pool, hosts are *not* owned processes: a dead host is
@@ -323,6 +320,10 @@ class RemoteHostPool(SupervisedPool):
     when the home is busy or down — locality is a preference, liveness is
     a guarantee.
     """
+
+    failure_pass = "host_failure"
+    degrade_reason = "remote host circuit open"
+    stats_key = "hosts"
 
     def __init__(self, hosts, catalog, hang_timeout: float | None = None,
                  connect_timeout: float = 10.0, host_cooldown: float = 5.0,
@@ -414,10 +415,12 @@ class RemoteHostPool(SupervisedPool):
 
     # -- the dispatcher-facing surface --------------------------------------
 
-    def run(self, spec: dict) -> dict:
-        """Run one job spec on some host; :class:`TransientJobError` on
-        host death/hang (the host is cooled down first, so the engine's
-        retry lands elsewhere)."""
+    def run_job(self, job, spec: dict, slot: int) -> dict:
+        """Run ``job`` on some host; :class:`TransientJobError` on host
+        death/hang (the host is cooled down first, so the engine's retry
+        lands elsewhere). ``slot`` is unused: any dispatcher thread may
+        take any host."""
+        spec["graph_descriptor"] = _share_graph(self.catalog, job)
         preferred = shard_of(spec["graph_key"], len(self._hosts))
         host = self._acquire(preferred)
         try:
@@ -594,12 +597,6 @@ class RemoteHostPool(SupervisedPool):
                         host[attr].close()
                         host[attr] = None
             self._cond.notify_all()
-
-    def __enter__(self) -> "RemoteHostPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def worker_serve(host: str, port: int, cache_root,

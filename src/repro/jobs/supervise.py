@@ -16,8 +16,9 @@ bookkeeping and stats dict. The common pieces now live here exactly once:
   (:data:`SUPERVISOR_BASE_KEYS`) is pinned by a regression test so the
   two pools can never drift apart again.
 * :func:`engine_supervisor_stats` — the engine-level assembly that nests
-  the pools' and journal's stats, moved out of ``engine.py`` so the whole
-  ``/healthz`` fault-tolerance document is built in one place.
+  the dispatcher pool's stats (under the pool's ``stats_key``) and the
+  journal's, moved out of ``engine.py`` so the whole ``/healthz``
+  fault-tolerance document is built in one place.
 
 The old ``supervisor_stats()`` methods survive as thin views over these
 helpers — ``/healthz`` consumers and existing tests see identical keys.
@@ -100,21 +101,23 @@ class RollingBreaker:
 class SupervisedPool:
     """Mixin: the supervision surface shared by the dispatcher pools.
 
-    Subclasses call :meth:`_init_supervision` from their constructor and
+    Subclasses call :meth:`_init_supervision` from their constructor,
     override :meth:`circuit_open` (the forked pool answers from its
-    :class:`RollingBreaker`; the remote pool from host cooldowns).
-    ``pool_label`` scopes the registry counters so both pools' respawn
-    and hang telemetry coexist in one ``/metrics`` page.
+    :class:`RollingBreaker`; the remote pool from host cooldowns) and name
+    their ``/healthz`` block in ``stats_key``. ``pool_label`` scopes the
+    registry counters so both pools' respawn and hang telemetry coexist
+    in one ``/metrics`` page.
     """
 
     hang_timeout: float | None = None
+    stats_key: str
 
     def _init_supervision(self, pool_label: str,
                           hang_timeout: float | None = None,
                           metrics: MetricsRegistry | None = None) -> None:
         self.hang_timeout = hang_timeout
         self.hung_kills = 0
-        self._pool_label = pool_label
+        self.pool_label = pool_label
         self._metrics = metrics if metrics is not None else get_registry()
         self._m_respawns = self._metrics.counter(
             "repro_dispatcher_respawns_total",
@@ -166,10 +169,9 @@ def engine_supervisor_stats(engine) -> dict:
         "mutations": engine._mutations,
         "watch_emissions": engine._watch_emissions,
     }
-    if engine._forked is not None:
-        stats["workers"] = engine._forked.supervisor_stats()
-    if engine._remote is not None:
-        stats["hosts"] = engine._remote.supervisor_stats()
+    pool = engine._dispatcher
+    if isinstance(pool, SupervisedPool):
+        stats[pool.stats_key] = pool.supervisor_stats()
     if engine.journal is not None:
         stats["journal"] = engine.journal.stats()
     return stats

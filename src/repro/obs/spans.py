@@ -12,7 +12,7 @@ and lands the measurement in two places at once:
 
 The split matters across process boundaries: a forked worker or a remote
 :class:`~repro.jobs.remote.WorkerHost` records spans into *its own*
-recorder and registry, ships the recorder entries back as pass tuples and
+recorder and registry, ships the recorder entries back as pass rows and
 the registry increments as a metrics delta inside the result dict, and
 the coordinator folds both into its job record and registry. Nothing new
 crosses the wire — the existing result-dict channel carries it.

@@ -17,14 +17,14 @@ def test_provisioning_prefers_delta_over_full_npz(tmp_path):
     try:
         k0 = eng.catalog.put(g0)
         assert eng.submit("circuit", graph_key=k0).result() is not None
-        stats = eng._remote.supervisor_stats()["provisioning"]
+        stats = eng._dispatcher.supervisor_stats()["provisioning"]
         assert stats["full"] == 1 and stats["delta"] == 0
         full_bytes = stats["full_bytes"]
         assert full_bytes > 0
         d = detour_delta(g0, [5])
         k1 = eng.catalog.mutate(k0, d)
         assert eng.submit("circuit", graph_key=k1).result() is not None
-        stats = eng._remote.supervisor_stats()["provisioning"]
+        stats = eng._dispatcher.supervisor_stats()["provisioning"]
         # bytes on the wire: the delta NPZ, not the child archive
         assert stats["full"] == 1 and stats["delta"] == 1
         assert 0 < stats["delta_bytes"] < full_bytes
@@ -47,7 +47,7 @@ def test_provisioning_falls_back_to_full_without_the_parent(tmp_path):
         # first contact is the child itself: the host never saw the
         # parent, so the coordinator must ship the full archive
         assert eng.submit("circuit", graph_key=k1).result() is not None
-        stats = eng._remote.supervisor_stats()["provisioning"]
+        stats = eng._dispatcher.supervisor_stats()["provisioning"]
         assert stats["full"] == 1 and stats["delta"] == 0
         assert k1 in host.catalog
     finally:

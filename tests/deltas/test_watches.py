@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +15,8 @@ from repro.faults import FaultPlan
 from repro.jobs import GraphCatalog, JobEngine
 from repro.jobs.journal import reduce_watches
 from repro.pipeline.context import RunConfig
-from repro.scenarios.base import run_scenario
+from repro.scenarios.base import SCENARIOS, register_scenario, run_scenario
+from repro.scenarios.circuit import CircuitScenario
 
 from tests.deltas.util import detour_delta, superposed_cycles
 
@@ -100,6 +104,59 @@ def test_delete_watch_stops_emissions(tmp_path):
             eng.watch_summary(w["id"])
         out = eng.mutate_graph(k0, detour_delta(g0, [0]))
         assert out["watches"] == {}
+
+
+def test_deleted_watch_frees_its_repair_session(tmp_path):
+    """A watch's session (its per-partition Phase-1 captures) dies with the
+    watch: retained emission jobs and their resident results keep none."""
+    g0 = superposed_cycles(20, seed=7)
+    with _engine(tmp_path, dispatchers=1, keep_results=8) as eng:
+        k0 = eng.catalog.put(g0)
+        w = eng.add_watch(k0)
+        out = eng.mutate_graph(k0, detour_delta(g0, [0]))
+        job_id = out["watches"][w["id"]]["job_id"]
+        assert eng.handle(job_id).result() is not None
+        session = weakref.ref(eng._watches[w["id"]]["session"])
+        eng.delete_watch(w["id"])
+        gc.collect()
+        assert session() is None
+        assert eng.job(job_id).result is not None  # still resident
+
+
+class _Gate(CircuitScenario):
+    """A circuit that waits for ``open`` before reducing: it holds the
+    only dispatcher, so jobs submitted behind it stay QUEUED."""
+
+    name = "test-gate"
+
+    def __init__(self):
+        self.open = threading.Event()
+
+    def reduce(self, graph, config):
+        self.open.wait(60)
+        return super().reduce(graph, config)
+
+
+def test_cancelled_queued_emission_frees_the_session(tmp_path):
+    gate = register_scenario(_Gate())
+    try:
+        g0 = superposed_cycles(20, seed=8)
+        with _engine(tmp_path, dispatchers=1) as eng:
+            k0 = eng.catalog.put(g0)
+            busy = eng.submit(gate.name, graph_key=k0)
+            w = eng.add_watch(k0)
+            out = eng.mutate_graph(k0, detour_delta(g0, [0]))
+            job_id = out["watches"][w["id"]]["job_id"]
+            assert eng.cancel(job_id) and eng.job(job_id).state == "CANCELLED"
+            session = weakref.ref(eng._watches[w["id"]]["session"])
+            eng.delete_watch(w["id"])
+            gate.open.set()
+            assert busy.result(timeout=60) is not None
+            gc.collect()
+            assert session() is None
+    finally:
+        gate.open.set()
+        SCENARIOS.pop(gate.name, None)
 
 
 def test_watch_survives_restart(tmp_path):

@@ -65,6 +65,16 @@ def _untimed(doc):
     return doc
 
 
+def _with_executor(doc, name: str):
+    """``doc`` with every ``executor`` field reading ``name``."""
+    if isinstance(doc, dict):
+        return {k: name if k == "executor" else _with_executor(v, name)
+                for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_with_executor(v, name) for v in doc]
+    return doc
+
+
 def _run_all(engine) -> dict:
     handles = {name: engine.submit(name, graph=scenario_fixture(name),
                                    config=RunConfig(n_parts=4, verify=True))
@@ -92,12 +102,18 @@ def test_resident_results_hold_no_bookkeeping(tmp_path):
 
 def test_every_dispatcher_serves_the_uncompacted_document(tmp_path):
     """In process, forked and remote jobs flatten to one document, and it
-    is the one a full ``run_scenario`` result flattens to."""
+    is the one a full ``run_scenario`` result flattens to. An in-process
+    job on the engine's shared pool serves it too, attributed to the
+    pool."""
     docs = {}
     with JobEngine(GraphCatalog(tmp_path / "thread"), dispatchers=1,
                    pool_kind=None) as engine:
         local = _run_all(engine)
     docs["thread"] = {n: job_to_dict(j) for n, j in local.items()}
+    with JobEngine(GraphCatalog(tmp_path / "pooled"), dispatchers=1,
+                   pool_kind="thread", pool_workers=2) as engine:
+        docs["pooled"] = {n: job_to_dict(j)
+                          for n, j in _run_all(engine).items()}
     with JobEngine(GraphCatalog(tmp_path / "forked"), dispatchers=1,
                    dispatcher="process") as engine:
         docs["process"] = {n: job_to_dict(j)
@@ -115,6 +131,11 @@ def test_every_dispatcher_serves_the_uncompacted_document(tmp_path):
         want = _untimed(job_to_dict(full))
         for mode in ("thread", "process", "remote"):
             assert _untimed(docs[mode][name]) == want, (name, mode)
+        pooled = docs["pooled"][name]
+        assert pooled["job"]["executor"] == "shared-thread", name
+        assert pooled["scenario_result"]["config"]["executor"] == \
+            "shared-thread", name
+        assert _untimed(pooled) == _with_executor(want, "shared-thread"), name
 
 
 def test_forked_spec_out_is_about_the_walks(tmp_path):
@@ -127,7 +148,7 @@ def test_forked_spec_out_is_about_the_walks(tmp_path):
             "graph_key": catalog.put(g), "config": RunConfig(n_parts=8),
             "graph_descriptor": None, "timeout_seconds": None,
             "trace_id": None}
-    out = _run_spec(spec, None, 0, catalog, {})
+    out = _run_spec(spec, None, catalog, {})
     assert out["state"] == DONE, out.get("error")
     walk = out["result"].circuit
     walk_bytes = walk.vertices.nbytes + walk.edge_ids.nbytes

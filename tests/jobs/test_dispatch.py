@@ -168,14 +168,14 @@ def test_killed_worker_fails_job_and_respawns(tmp_path, spin_scenario):
 
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     with _process_engine(tmp_path, n=1) as engine:
-        victim_pid = engine._forked._workers[0][0].pid
+        victim_pid = engine._dispatcher._workers[0][0].pid
         handle = engine.submit("test-spin", graph=tri)
         _wait_for(spin_scenario)
         os.kill(victim_pid, signal.SIGKILL)
         with pytest.raises(JobFailedError, match="died mid-job"):
             handle.result(timeout=60)
         # The slot respawned: a fresh pid, and it serves the next job.
-        assert engine._forked._workers[0][0].pid != victim_pid
+        assert engine._dispatcher._workers[0][0].pid != victim_pid
         ok = engine.submit("circuit", graph=grid_city(4, 4),
                            config=RunConfig(n_parts=2))
         assert ok.result(timeout=120).circuits
@@ -188,7 +188,7 @@ def test_killed_worker_fails_job_and_respawns(tmp_path, spin_scenario):
 
 def test_forked_pool_close_reaps_workers_and_flags(tmp_path):
     before = {p.pid for p in multiprocessing.active_children()}
-    pool = ForkedWorkerPool(2, tmp_path / "cat")
+    pool = ForkedWorkerPool(2, GraphCatalog(tmp_path / "cat"))
     flags_segment = pool.flags.descriptor["segment"]
     spawned = [p.pid for p, _ in pool._workers]
     assert all(pid not in before for pid in spawned)
@@ -198,12 +198,12 @@ def test_forked_pool_close_reaps_workers_and_flags(tmp_path):
     assert not any(pid in after for pid in spawned)
     assert flags_segment not in shm.leaked_segments()
     with pytest.raises(RuntimeError):
-        pool.run(0, {})
+        pool.run_job(None, {}, 0)
 
 
 def test_engine_close_reaps_forked_workers(tmp_path):
     engine = _process_engine(tmp_path, n=2)
-    pids = [p.pid for p, _ in engine._forked._workers]
+    pids = [p.pid for p, _ in engine._dispatcher._workers]
     engine.close()
     alive = {p.pid for p in multiprocessing.active_children()}
     assert not any(pid in alive for pid in pids)
@@ -212,7 +212,7 @@ def test_engine_close_reaps_forked_workers(tmp_path):
 
 def test_forked_pool_validates_args(tmp_path):
     with pytest.raises(ValueError):
-        ForkedWorkerPool(0, tmp_path)
+        ForkedWorkerPool(0, GraphCatalog(tmp_path))
     with pytest.raises(ValueError):
         JobEngine(GraphCatalog(tmp_path / "cat"), dispatcher="coroutine")
 

@@ -24,9 +24,12 @@ from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs import DONE, FAILED, GraphCatalog, JobEngine
 from repro.jobs.client import JobClient, JobClientError
 from repro.jobs.dispatch import ForkedWorkerPool
+from repro.jobs.remote import WorkerHost
 from repro.jobs.server import make_server
 from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
+from repro.scenarios.base import SCENARIOS, register_scenario
+from repro.scenarios.circuit import CircuitScenario
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="process dispatchers need POSIX shm"
@@ -125,6 +128,65 @@ def test_backoff_is_exponential_and_deterministic(tmp_path):
         assert 0.02 <= backoffs[1] <= 0.04
 
 
+class _BrokenPipeOnce(CircuitScenario):
+    """A circuit whose first reduce raises ``BrokenPipeError``.
+
+    Registered before the engine forks its workers, so a forked worker
+    counts its own calls: its retry runs the second one.
+    """
+
+    name = "test-broken-pipe-once"
+
+    def __init__(self):
+        self.calls = 0
+
+    def reduce(self, graph, config):
+        self.calls += 1
+        if self.calls == 1:
+            raise BrokenPipeError("injected broken pipe")
+        return super().reduce(graph, config)
+
+
+@pytest.fixture
+def broken_pipe_once():
+    register_scenario(_BrokenPipeOnce())
+    yield _BrokenPipeOnce.name
+    SCENARIOS.pop(_BrokenPipeOnce.name, None)
+
+
+@pytest.mark.parametrize("mode", [
+    "thread",
+    pytest.param("process", marks=needs_shm),
+    "remote",
+])
+def test_broken_pipe_retries_on_every_dispatcher(tmp_path, mode,
+                                                 broken_pipe_once):
+    """One transient rule: a ``BrokenPipeError`` inside the job retries
+    whichever dispatcher runs it."""
+    g = random_eulerian(40, 4, 12, seed=28)
+    config = RunConfig(n_parts=2, seed=0)
+    ref = run_scenario(g, "circuit", config)
+    host = WorkerHost(tmp_path / "host").start() if mode == "remote" else None
+    try:
+        engine = JobEngine(
+            GraphCatalog(tmp_path / "cat"), dispatchers=1, dispatcher=mode,
+            hosts=[host.address] if host is not None else None,
+            retry_backoff=0.01,
+        )
+        with engine:
+            handle = engine.submit(broken_pipe_once, graph=g, config=config,
+                                   max_retries=1)
+            got = handle.result(timeout=120)
+            job = engine.job(handle.job_id)
+        assert job.state == DONE and job.attempt == 1
+        retry = next(p for p in job.passes if p["pass"] == "retry")
+        assert "BrokenPipeError" in retry["error"]
+        _assert_same_circuits(ref, got)
+    finally:
+        if host is not None:
+            host.close()
+
+
 # ---------------------------------------------------------------------------
 # Forked workers: kills, hangs, breaker
 # ---------------------------------------------------------------------------
@@ -136,7 +198,7 @@ def test_worker_kill_retries_to_identical_result(tmp_path):
     config = RunConfig(n_parts=4, seed=0)
     ref = run_scenario(g, "circuit", config)
     with _process_engine(tmp_path, retry_backoff=0.01) as engine:
-        victim = engine._forked._workers[0][0].pid
+        victim = engine._dispatcher._workers[0][0].pid
         handle = engine.submit(
             "circuit", graph=g, max_retries=1,
             config=RunConfig(n_parts=4, seed=0,
@@ -147,8 +209,8 @@ def test_worker_kill_retries_to_identical_result(tmp_path):
         job = engine.job(handle.job_id)
         assert job.state == DONE and job.attempt == 1
         # The kill was real: the slot runs a different pid now.
-        assert engine._forked._workers[0][0].pid != victim
-        assert engine._forked.total_respawns >= 1
+        assert engine._dispatcher._workers[0][0].pid != victim
+        assert engine._dispatcher.total_respawns >= 1
 
 
 @needs_shm
@@ -178,7 +240,7 @@ def test_kill_at_every_superstep_is_bit_identical(tmp_path):
             assert boundary < 50, "superstep sweep never terminated"
         # The run really has safe points, and we killed at every one.
         assert kills >= 2
-        assert engine._forked.total_respawns == kills
+        assert engine._dispatcher.total_respawns == kills
 
 
 @needs_shm
@@ -200,8 +262,9 @@ def test_hung_worker_is_detected_killed_and_job_retried(tmp_path):
 
 @needs_shm
 def test_respawn_budget_opens_circuit_breaker(tmp_path):
-    pool = ForkedWorkerPool(1, tmp_path / "cat", respawn_budget=2,
-                            respawn_window=60.0, breaker_cooldown=60.0)
+    pool = ForkedWorkerPool(1, GraphCatalog(tmp_path / "cat"),
+                            respawn_budget=2, respawn_window=60.0,
+                            breaker_cooldown=60.0)
     try:
         assert not pool.circuit_open()
         pool._respawn_after_failure(0)
@@ -223,7 +286,7 @@ def test_open_breaker_degrades_to_in_process_dispatch(tmp_path):
     config = RunConfig(n_parts=2, seed=0)
     ref = run_scenario(g, "circuit", config)
     with _process_engine(tmp_path) as engine:
-        engine._forked._broken_until = time.monotonic() + 60.0
+        engine._dispatcher._breaker._broken_until = time.monotonic() + 60.0
         handle = engine.submit("circuit", graph=g, config=config)
         got = handle.result(timeout=120)
         _assert_same_circuits(ref, got)  # degraded, not degraded-and-wrong

@@ -51,7 +51,8 @@ def test_rolling_breaker_window_and_cooldown():
 
 
 def test_forked_pool_key_set(tmp_path):
-    pool = ForkedWorkerPool(1, tmp_path / "cat", metrics=MetricsRegistry())
+    pool = ForkedWorkerPool(1, GraphCatalog(tmp_path / "cat"),
+                            metrics=MetricsRegistry())
     try:
         stats = pool.supervisor_stats()
     finally:
@@ -103,7 +104,7 @@ def test_engine_nests_the_forked_pool_block(tmp_path):
 
 def test_pools_report_respawns_into_the_registry(tmp_path):
     m = MetricsRegistry()
-    pool = ForkedWorkerPool(1, tmp_path / "cat", metrics=m)
+    pool = ForkedWorkerPool(1, GraphCatalog(tmp_path / "cat"), metrics=m)
     try:
         pool._respawn_after_failure(0)
     finally:
