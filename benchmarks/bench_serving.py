@@ -83,18 +83,9 @@ def _pctl(samples: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def _serve(engine, frontend: str = "thread"):
-    if frontend == "async":
-        from repro.jobs.aserver import AsyncJobServer
-
-        server = AsyncJobServer(engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        server.wait_started(10)
-    else:
-        server = make_server(engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+def _serve(engine):
+    server = make_server(engine, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address
     return server, JobClient(f"http://{host}:{port}")
 
@@ -111,8 +102,7 @@ def _drain(client: JobClient, timeout: float = 300.0) -> dict:
         time.sleep(0.02)
 
 
-def _soak(root: Path, dispatcher: str = "thread",
-          frontend: str = "thread") -> dict:
+def _soak(root: Path, dispatcher: str = "thread") -> dict:
     graph = grid_city(SOAK_GRID, SOAK_GRID)
     before_segments = set(shm.leaked_segments()) if shm.shm_available() else set()
     engine = JobEngine(
@@ -126,7 +116,7 @@ def _soak(root: Path, dispatcher: str = "thread",
         retention=RETENTION,
         max_queued=MAX_QUEUED,
     )
-    server, client = _serve(engine, frontend)
+    server, client = _serve(engine)
     try:
         key = client.put_graph(
             edges=np.column_stack([graph.edge_u, graph.edge_v]).tolist(),
@@ -179,7 +169,6 @@ def _soak(root: Path, dispatcher: str = "thread",
         ]
         result = {
             "dispatcher": dispatcher,
-            "frontend": frontend,
             "wall_seconds": wall,
             "jobs_per_second": N_JOBS / wall,
             "submitted": N_JOBS,
@@ -502,9 +491,8 @@ def measure() -> dict:
         out["soak"] = _soak(tmp)
         if shm.shm_available():
             # Same workload, zero-copy stack: pre-forked process
-            # dispatchers behind the asyncio front end.
-            out["soak_preforked"] = _soak(tmp, dispatcher="process",
-                                          frontend="async")
+            # dispatchers.
+            out["soak_preforked"] = _soak(tmp, dispatcher="process")
         out["backpressure"] = _backpressure_probe(tmp)
     out["soak_chaos"] = chaos()
     return out

@@ -6,16 +6,16 @@ reproducible from the first-class metrics surface, so the perf-smoke job
 scrapes a live server the way Prometheus would and fails loudly when the
 page stops being scrape-able:
 
-* spin up an in-process :class:`~repro.jobs.engine.JobEngine` behind each
-  front end (threaded and async) with its own registry, drive identical
-  traffic over real HTTP (graph upload, circuit jobs, a status miss),
+* spin up an in-process :class:`~repro.jobs.engine.JobEngine` behind the
+  HTTP server with its own registry, drive traffic over real HTTP (graph
+  upload, circuit jobs, a status miss),
 * ``GET /metrics``, run the page through
   :func:`repro.obs.parse_prometheus_text` (any malformed line raises —
   an unparseable page must not scrape as empty), and
 * require every family in :data:`repro.obs.REQUIRED_FAMILIES` plus a
   non-zero queue-delay histogram and HTTP response counts.
 
-The scraped pages are written to ``--output`` (default
+The scraped page is written to ``--output`` (default
 ``metrics-snapshot.txt``) and uploaded as a CI artifact next to the bench
 JSONs, so a regression's last-good metrics page is one click away.
 
@@ -47,37 +47,19 @@ N_JOBS = 3
 GRID = 8
 
 
-def _serve(engine, frontend: str):
-    if frontend == "async":
-        from repro.jobs.aserver import AsyncJobServer
-
-        server = AsyncJobServer(engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        server.wait_started(10)
-    else:
-        server = make_server(engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-    host, port = server.server_address
-    return server, JobClient(f"http://{host}:{port}")
-
-
-def _shutdown(server, frontend: str) -> None:
-    server.shutdown()
-    server.server_close()
-
-
-def scrape_frontend(root: Path, frontend: str) -> tuple[str, list[str]]:
-    """Drive one front end and return ``(metrics_page, problems)``."""
+def scrape(root: Path) -> tuple[str, list[str]]:
+    """Drive the server and return ``(metrics_page, problems)``."""
     graph = grid_city(GRID, GRID)
     engine = JobEngine(
-        GraphCatalog(root / f"cat-{frontend}"),
+        GraphCatalog(root / "cat"),
         dispatchers=2,
-        artifact_dir=root / f"arts-{frontend}",
+        artifact_dir=root / "arts",
         metrics=MetricsRegistry(),
     )
-    server, client = _serve(engine, frontend)
+    server = make_server(engine, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address
+    client = JobClient(f"http://{host}:{port}")
     try:
         up = client.put_graph(
             edges=list(zip(graph.edge_u.tolist(), graph.edge_v.tolist())),
@@ -93,30 +75,31 @@ def scrape_frontend(root: Path, frontend: str) -> tuple[str, list[str]]:
         text = client.metrics()
     finally:
         client.close()
-        _shutdown(server, frontend)
+        server.shutdown()
+        server.server_close()
         engine.close()
 
     problems: list[str] = []
     try:
         families = parse_prometheus_text(text)
     except ValueError as exc:
-        return text, [f"{frontend}: unparseable exposition text: {exc}"]
+        return text, [f"unparseable exposition text: {exc}"]
     missing = [f for f in REQUIRED_FAMILIES if f not in families]
     if missing:
-        problems.append(f"{frontend}: missing required families: {missing}")
+        problems.append(f"missing required families: {missing}")
     delay = families.get("repro_queue_delay_seconds", {})
     if delay.get("type") != "histogram" or not delay.get("samples"):
-        problems.append(f"{frontend}: queue-delay histogram empty or untyped")
+        problems.append("queue-delay histogram empty or untyped")
     http = families.get("repro_http_responses_total", {})
     if not http.get("samples"):
-        problems.append(f"{frontend}: no HTTP response counts recorded")
+        problems.append("no HTTP response counts recorded")
     return text, problems
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="metrics-snapshot.txt",
-                        help="write the scraped pages here (CI artifact)")
+                        help="write the scraped page here (CI artifact)")
     parser.add_argument("--root", default=None,
                         help="scratch directory (default: a TemporaryDirectory)")
     args = parser.parse_args(argv)
@@ -124,26 +107,18 @@ def main(argv=None) -> int:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(args.root) if args.root else Path(tmp)
-        pages: list[str] = []
-        problems: list[str] = []
-        for frontend in ("thread", "async"):
-            text, bad = scrape_frontend(root, frontend)
-            pages.append(f"# --- frontend: {frontend} ---\n{text}")
-            problems.extend(bad)
-            n = len(parse_prometheus_text(text)) if not bad else 0
-            status = "FAIL" if bad else "ok"
-            print(f"[{frontend}] /metrics scrape {status}: "
-                  f"{len(text.splitlines())} lines, {n} families")
+        text, problems = scrape(Path(args.root) if args.root else Path(tmp))
+    n = len(parse_prometheus_text(text)) if not problems else 0
+    print(f"/metrics scrape {'FAIL' if problems else 'ok'}: "
+          f"{len(text.splitlines())} lines, {n} families")
 
-    Path(args.output).write_text("\n".join(pages))
+    Path(args.output).write_text(text)
     print(f"snapshot written to {args.output}")
     if problems:
         for p in problems:
             print("FAIL:", p)
         return 1
-    print(f"all {len(REQUIRED_FAMILIES)} required families present "
-          "on both front ends")
+    print(f"all {len(REQUIRED_FAMILIES)} required families present")
     return 0
 
 

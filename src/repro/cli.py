@@ -18,7 +18,7 @@ Subcommands
     scheduler (see :mod:`repro.jobs`). With ``--dispatcher remote`` it
     becomes the coordinator of a multi-host cluster (``--hosts``).
     ``GET /metrics`` serves the whole stack's metrics registry in
-    Prometheus text format on both front ends (see :mod:`repro.obs`).
+    Prometheus text format (see :mod:`repro.obs`).
 ``worker``
     One worker host process serving BSP supersteps and whole jobs to a
     remote-mode coordinator (see :mod:`repro.jobs.remote`).
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the long-lived job server (graph catalog + "
                       "shared-pool scheduler, JSON HTTP API; GET /metrics "
-                      "serves Prometheus text on both front ends)")
+                      "serves Prometheus text)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642)
     serve.add_argument("--cache-root", default=".graph_catalog",
@@ -168,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="remote mode: comma-separated worker host "
                             "addresses, e.g. 10.0.0.1:9701,10.0.0.2:9701 "
                             "(each runs `repro-euler worker`)")
-    serve.add_argument("--frontend", default="thread",
-                       choices=("thread", "async"),
-                       help="HTTP front end: thread-per-connection, or a "
-                            "single asyncio event loop (keep-alive, cheap "
-                            "idle connections)")
     serve.add_argument("--keep-results", type=int, default=64,
                        help="terminal jobs keeping their in-memory result "
                             "(older results served from the artifact dir)")
@@ -441,7 +436,7 @@ def _jobs_main(args) -> int:
                   f"requeued={recovered['requeued']} "
                   f"reconciled={recovered['reconciled']} "
                   f"failed={recovered['failed']}")
-        serve_forever(engine, args.host, args.port, frontend=args.frontend,
+        serve_forever(engine, args.host, args.port,
                       drain_timeout=args.drain_timeout)
         return 0
     if args.command == "batch":

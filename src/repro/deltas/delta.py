@@ -391,7 +391,7 @@ class GraphDelta:
 
         return cls.from_bytes(Path(path).read_bytes())
 
-    # -- wire dict (the HTTP front ends' JSON shape) -------------------------
+    # -- wire dict (the HTTP front end's JSON shape) -------------------------
 
     def to_wire(self) -> dict:
         """JSON-safe dict (edit lists, not packed tables)."""

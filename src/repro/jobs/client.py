@@ -4,7 +4,7 @@
 stance. Every method returns the decoded JSON payload; HTTP error statuses
 raise :class:`JobClientError` carrying the server's ``error`` message.
 
-Connections are **persistent per thread**: both front ends speak HTTP/1.1
+Connections are **persistent per thread**: the server speaks HTTP/1.1
 keep-alive, and a poll loop (``wait``) reusing one TCP connection skips a
 connect/teardown per request — the difference between ~126 and several
 hundred status round-trips per second against a warm server. A stale

@@ -50,7 +50,7 @@ Fault tolerance (the crash-safety layer on top):
   pool cools dead hosts down; while a pool's circuit is open the engine
   *degrades* its jobs to the in-process dispatcher instead of feeding a
   crash loop;
-* **drain** — :meth:`drain` stops intake (HTTP 503 at the front ends),
+* **drain** — :meth:`drain` stops intake (HTTP 503 at the front end),
   lets running jobs finish inside a deadline, then checkpoints the journal
   so still-queued jobs survive to the next start.
 
@@ -1122,7 +1122,7 @@ class JobEngine:
         """Graceful shutdown, phase one: stop intake, let work land.
 
         New submissions raise :class:`~repro.errors.EngineDrainingError`
-        (HTTP 503 with ``Retry-After`` at the front ends) while queued and
+        (HTTP 503 with ``Retry-After`` at the front end) while queued and
         running jobs keep executing. Past ``timeout`` seconds, dispatch
         stops, still-RUNNING jobs are asked to cancel at their next safe
         point (waited on for ``grace`` seconds), and the journal is

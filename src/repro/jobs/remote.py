@@ -15,9 +15,9 @@ Two halves, speaking the length-prefixed frame protocol of
       long as its connection;
     * ``run_job`` — one whole job spec, executed by
       :func:`repro.jobs.dispatch._run_spec`, the runner every dispatcher
-      uses, so catalog attach fallbacks, derived-artifact reuse, cancel
-      semantics, failure classification and the pass history are
-      identical to single-machine serving.
+      uses, over the host's own catalog (never a coordinator segment),
+      so derived-artifact reuse, cancel semantics, failure classification
+      and the pass history are identical to single-machine serving.
 
     Control operations (``cancel``, ``ping``, ``ensure_graph``,
     ``put_graph``) arrive on separate connections served by their own
@@ -58,7 +58,7 @@ from ..bsp import transport as frame
 from ..bsp.executors import run_task
 from ..errors import TransientJobError
 from .catalog import GraphCatalog, shard_of
-from .dispatch import _describe, _serve_spec, _share_graph
+from .dispatch import _describe, _serve_spec
 from .supervise import SupervisedPool
 
 __all__ = ["WorkerHost", "RemoteHostPool", "worker_serve"]
@@ -420,7 +420,6 @@ class RemoteHostPool(SupervisedPool):
         death/hang (the host is cooled down first, so the engine's retry
         lands elsewhere). ``slot`` is unused: any dispatcher thread may
         take any host."""
-        spec["graph_descriptor"] = _share_graph(self.catalog, job)
         preferred = shard_of(spec["graph_key"], len(self._hosts))
         host = self._acquire(preferred)
         try:

@@ -2,14 +2,10 @@
 
 No framework, no new dependencies. All route logic lives in
 :class:`JobApi` — a transport-independent ``(method, path, body) →
-(status, payload)`` mapping — shared by two front ends:
-
-* the **threaded** front end here (``http.server.ThreadingHTTPServer``,
-  one thread per connection), the portable default;
-* the **async** front end (:mod:`repro.jobs.aserver`,
-  ``asyncio.start_server`` with keep-alive), where cheap submit / status /
-  healthz / cancel traffic is multiplexed on one event loop instead of
-  competing for threads with result serialization.
+(status, payload)`` mapping — served by ``http.server.ThreadingHTTPServer``
+(one thread per connection, HTTP/1.1 keep-alive) through
+:class:`_JobRequestHandler`, a thin adapter that frames the body and
+encodes the reply.
 
 The API surface:
 
@@ -91,8 +87,8 @@ MAX_WIRE_PRIORITY = 100
 class TextResponse(str):
     """A plain-text route payload (e.g. ``GET /metrics``).
 
-    Routes normally return JSON dicts; a ``TextResponse`` tells both front
-    ends to ship the string verbatim with ``content_type`` instead of
+    Routes normally return JSON dicts; a ``TextResponse`` tells the HTTP
+    handler to ship the string verbatim with ``content_type`` instead of
     JSON-encoding it.
     """
 
@@ -137,7 +133,7 @@ def _graph_from_body(body: dict, engine: JobEngine) -> tuple[Graph | None, str |
 class JobApi:
     """Transport-independent routing: ``(method, path, body) → (status, payload)``.
 
-    Both front ends delegate here, so route behavior — including the
+    The HTTP handler delegates here, so route behavior — including the
     exception → status mapping — is defined exactly once. ``handle`` never
     raises: every failure maps to a JSON error payload (429 for
     backpressure, 404 for unknown resources, 400 for bad requests, 500 as
@@ -146,8 +142,8 @@ class JobApi:
 
     def __init__(self, engine: JobEngine):
         self.engine = engine
-        # One counter family per API instance: both front ends report into
-        # the engine's registry, so /metrics sees combined HTTP traffic.
+        # The counter lives in the engine's registry, so /metrics reports
+        # the HTTP traffic beside the engine's own families.
         self._responses = engine.metrics.counter(
             "repro_http_responses_total",
             "HTTP responses by method and status",
@@ -413,7 +409,7 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(fmt, *args)
 
-    def _send(self, status: int, payload: dict) -> None:
+    def _send(self, status: int, payload: dict, close: bool = False) -> None:
         if isinstance(payload, str):
             # TextResponse (e.g. /metrics): ship verbatim, not JSON.
             content_type = getattr(payload, "content_type", "text/plain")
@@ -427,6 +423,8 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
             if status in (429, 503):
                 self.send_header("Retry-After", "1")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")  # sets close_connection
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
@@ -438,6 +436,16 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
     def _route(self, method: str) -> None:
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Without a body length the stream has no next request boundary
+            # (and rfile.read(-1) would block until the client hangs up):
+            # answer, then drop the connection.
+            self._send(400, {"error": "Content-Length must be a "
+                                      "non-negative integer"}, close=True)
+            return
+        try:
             body = self.rfile.read(length) if length else b""
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True  # disconnected while sending the body
@@ -478,14 +486,9 @@ def serve_forever(
     host: str,
     port: int,
     quiet: bool = False,
-    frontend: str = "thread",
     drain_timeout: float = 30.0,
 ) -> None:
     """Run the API until interrupted, then close the engine cleanly.
-
-    ``frontend="async"`` serves through the asyncio front end
-    (:class:`repro.jobs.aserver.AsyncJobServer`); both front ends expose
-    the identical :class:`JobApi` surface.
 
     ``SIGTERM`` triggers a graceful drain: new submissions get 503 (with
     ``Retry-After``), running jobs get up to ``drain_timeout`` seconds to
@@ -493,16 +496,7 @@ def serve_forever(
     journaled for the next start's recovery. ``SIGINT``/Ctrl-C keeps the
     historical fast path (cancel queued jobs, close).
     """
-    if frontend == "async":
-        from .aserver import AsyncJobServer
-
-        server = AsyncJobServer(engine, host, port, quiet=quiet)
-    elif frontend == "thread":
-        server = make_server(engine, host, port, quiet=quiet)
-    else:
-        raise ValueError(
-            f"unknown frontend {frontend!r}; use 'thread' or 'async'"
-        )
+    server = make_server(engine, host, port, quiet=quiet)
     drained = threading.Event()
 
     def _drain_and_stop() -> None:
@@ -531,11 +525,11 @@ def serve_forever(
     except ValueError:
         pass  # not the main thread (tests drive serve_forever directly)
     addr = server.server_address
+    # Flushed: launchers read the bound port from this line on a pipe.
     print(f"repro-euler serve: listening on http://{addr[0]}:{addr[1]} "
-          f"(frontend={frontend}, dispatcher={engine.dispatcher}"
-          f"x{engine.dispatchers}, "
+          f"(dispatcher={engine.dispatcher}x{engine.dispatchers}, "
           f"pool={engine.pool.name if engine.pool else 'none'}, "
-          f"catalog={engine.catalog.root})")
+          f"catalog={engine.catalog.root})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive path

@@ -11,7 +11,7 @@ This module is the single pane of glass those surfaces now feed:
   enough for per-frame wire accounting, which already paid exactly that
   under the old ``WireStats``.
 * **Prometheus text rendering** (:meth:`MetricsRegistry.render`) in the
-  0.0.4 exposition format, served by ``GET /metrics`` on both front ends,
+  0.0.4 exposition format, served by ``GET /metrics``,
   plus :func:`parse_prometheus_text` so tests and the CI scrape gate can
   validate what they scraped without a client library.
 * **Cross-process aggregation**: :meth:`MetricsRegistry.state` /
@@ -71,7 +71,7 @@ DEFAULT_BUCKETS = (
 )
 
 #: Families ``GET /metrics`` must always expose (the CI scrape gate and
-#: the front-end parity test both pin this set). The engine pre-creates
+#: the /metrics page test both pin this set). The engine pre-creates
 #: each so a fresh server renders the full schema at zero.
 REQUIRED_FAMILIES = (
     "repro_queue_depth",

@@ -1,8 +1,7 @@
-"""PATCH /graphs and the /watches routes over both HTTP front ends.
+"""PATCH /graphs and the /watches routes over HTTP.
 
-Parametrized across the threaded and asyncio servers: the mutation API
-must behave identically — same payload shapes, same status codes, same
-rollback on injected faults — whichever front end serves it.
+Payload shapes, status codes, and rollback on injected faults, through
+the real client and server.
 """
 
 from __future__ import annotations
@@ -14,26 +13,19 @@ import threading
 import pytest
 
 from repro.jobs import GraphCatalog, JobEngine
-from repro.jobs.aserver import AsyncJobServer
 from repro.jobs.client import JobClient, JobClientError
 from repro.jobs.server import make_server
 
 from tests.deltas.util import superposed_cycles
 
 
-@pytest.fixture(params=["threaded", "async"])
-def served(request, tmp_path):
+@pytest.fixture
+def served(tmp_path):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=2,
                        artifact_dir=tmp_path / "art")
-    if request.param == "threaded":
-        server = make_server(engine)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-    else:
-        server = AsyncJobServer(engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        assert server.wait_started(10)
+    server = make_server(engine)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
     host, port = server.server_address[:2]
     client = JobClient(f"http://{host}:{port}")
     try:

@@ -157,6 +157,28 @@ def test_remote_dispatcher_matches_serial(tmp_path, two_hosts, graph):
         assert_same_result(serial, res)
 
 
+@pytest.mark.skipif(not shm.shm_available(), reason="needs /dev/shm")
+def test_remote_job_reads_the_host_catalog_not_coordinator_shm(
+        tmp_path, two_hosts, graph):
+    """A segment name only means something on the coordinator's machine:
+    a remote job is provisioned into the host's catalog and leaves no
+    graph segment behind on the coordinator."""
+    with JobEngine(
+        tmp_path / "coord", dispatcher="remote",
+        hosts=[h.address for h in two_hosts],
+    ) as engine:
+        before = set(shm.leaked_segments())
+        handle = engine.submit("circuit", graph=graph,
+                               config=RunConfig(n_parts=4))
+        handle.result(timeout=60)
+        job = engine.job(handle.job_id)
+        assert engine.segment_stats()["segments"] == 0
+        assert set(shm.leaked_segments()) - before == set()
+    sources = [p["source"] for p in job.passes if p["pass"] == "load_graph"]
+    assert sources and "segment" not in sources
+    assert "share_graph" not in [p["pass"] for p in job.passes]
+
+
 def test_remote_dispatcher_requires_hosts(tmp_path):
     with pytest.raises(ValueError, match="at least one worker host"):
         JobEngine(tmp_path / "coord", dispatcher="remote")

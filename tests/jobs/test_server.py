@@ -1,9 +1,19 @@
 """Serve API: full HTTP round-trips against an in-process server."""
 
+import http.client
+import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+from repro.bsp import shm
 from repro.generate.synthetic import grid_city
 from repro.graph.io import save_edge_list
 from repro.jobs import GraphCatalog, JobEngine
@@ -21,9 +31,11 @@ def served(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address
+    client = JobClient(f"http://{host}:{port}")
     try:
-        yield engine, JobClient(f"http://{host}:{port}")
+        yield engine, client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         engine.close()
@@ -34,6 +46,8 @@ def test_health_and_empty_jobs(served):
     health = client.health()
     assert health["status"] == "ok"
     assert health["jobs"]["QUEUED"] == 0
+    assert health["dispatch"]["mode"] == "thread"
+    assert set(health["segments"]) == {"segments", "bytes", "attaches"}
     assert client.jobs() == []
 
 
@@ -57,6 +71,7 @@ def test_submit_poll_result_cycle(served, tmp_path):
     assert nested["scenario"] == "circuit"
     assert nested["sub_runs"][0]["run"]["circuit"]["verified"]
 
+    assert client.jobs()[0]["id"] == sub["job_id"]
     cat = client.catalog()
     assert cat["entries"][0]["name"] == "city"
     assert cat["disk_bytes"] > 0
@@ -86,6 +101,9 @@ def test_error_statuses(served):
         client.submit("not-a-scenario", graph_key="ff00")
     assert exc.value.status in (400, 404)
     with pytest.raises(JobClientError) as exc:
+        client.submit("circuit", graph_key="no-such-graph")
+    assert exc.value.status == 404
+    with pytest.raises(JobClientError) as exc:
         client._request("GET", "/no/such/route")
     assert exc.value.status == 404
     with pytest.raises(JobClientError) as exc:
@@ -102,6 +120,118 @@ def test_cancel_endpoint(served):
     # Terminal jobs refuse cancellation but the endpoint stays 200.
     out = client.cancel(job["job_id"])
     assert out["cancelled"] is False and out["state"] == "DONE"
+
+
+def test_keep_alive_reuses_one_connection(served):
+    _, client = served
+    client.health()
+    first = client._connection()
+    for _ in range(10):
+        client.health()
+    assert client._connection() is first  # no reconnect across requests
+
+
+def _raw_exchange(client, request: bytes) -> bytes:
+    """Send raw bytes on a fresh socket; everything the server answers
+    before it closes the connection."""
+    with socket.create_connection((client._host, client._port),
+                                  timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_malformed_requests_do_not_kill_the_server(served):
+    _, client = served
+    # A one-word request line: the stdlib answers it the HTTP/0.9 way, an
+    # HTML error page with no status line.
+    assert b"Error code: 400" in _raw_exchange(client, b"NONSENSE\r\n\r\n")
+    # A Content-Length that is not a non-negative integer: a JSON 400, then
+    # the server closes the connection (rather than raising, or reading
+    # to EOF).
+    for length in (b"abc", b"-1"):
+        data = _raw_exchange(
+            client, b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + length + b"\r\n\r\n{}")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), data
+        assert b"connection: close" in head.lower()
+        assert "Content-Length" in json.loads(body)["error"]
+    # Non-object JSON body: a clean 400, not a 500.
+    conn = http.client.HTTPConnection(client._host, client._port, timeout=10)
+    conn.request("POST", "/jobs", body=b"[1,2,3]",
+                 headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    assert resp.status == 400
+    assert "error" in json.loads(resp.read())
+    conn.close()
+    assert client.health()["status"] == "ok"
+
+
+@pytest.mark.skipif(not shm.shm_available(), reason="needs POSIX shm")
+def test_http_over_preforked_engine(tmp_path):
+    """HTTP -> queue -> forked workers attaching the graph's segment."""
+    engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=2,
+                       dispatcher="process", artifact_dir=tmp_path / "arts")
+    server = make_server(engine, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address
+    client = JobClient(f"http://{host}:{port}")
+    try:
+        assert client.health()["dispatch"] == {
+            "mode": "process", "dispatchers": 2, "pool": None}
+        g = grid_city(6, 6)
+        up = client.put_graph(
+            edges=list(zip(g.edge_u.tolist(), g.edge_v.tolist())))
+        jobs = [client.submit("circuit", graph_key=up["graph_key"],
+                              config={"n_parts": 4})
+                for _ in range(4)]
+        for sub in jobs:
+            assert client.wait(sub["job_id"], timeout=120)["state"] == "DONE"
+        assert client.health()["segments"]["segments"] >= 1
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+        engine.close()
+
+
+def test_cli_serve_announces_its_url_on_a_pipe(tmp_path):
+    """The `listening on` line reaches a pipe while the server runs, with
+    no PYTHONUNBUFFERED: launchers read the bound port from it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--cache-root", str(tmp_path / "cat")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+    ) as proc:
+        lines = []
+
+        def _pump():
+            for line in proc.stdout:
+                lines.append(line)
+
+        reader = threading.Thread(target=_pump, daemon=True)
+        reader.start()
+        try:
+            deadline = time.monotonic() + 10
+            while not any(b"listening on" in line for line in lines):
+                assert time.monotonic() < deadline, \
+                    f"no URL after 10 s: {lines}"
+                assert proc.poll() is None, f"serve exited: {lines}"
+                time.sleep(0.05)
+            url = next(line for line in lines if b"listening on" in line
+                       ).split(b"listening on ", 1)[1].split()[0].decode()
+            with urllib.request.urlopen(url + "/healthz", timeout=10) as resp:
+                assert resp.status == 200
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+            reader.join(timeout=10)
+    assert not reader.is_alive()
 
 
 def test_config_from_dict_round_trip():

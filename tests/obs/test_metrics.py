@@ -242,7 +242,7 @@ def test_null_registry_is_inert():
 
 
 def test_required_families_is_a_stable_schema():
-    # The CI scrape gate and the front-end parity test both key on this
+    # The CI scrape gate and the /metrics page test both key on this
     # exact set; additions are fine, removals are a contract break.
     assert set(REQUIRED_FAMILIES) >= {
         "repro_queue_depth",
