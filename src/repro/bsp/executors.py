@@ -349,14 +349,6 @@ class RemoteExecutor(_Closable):
             f"{reply.get('error')}"
         )
 
-    def wire_stats(self) -> dict:
-        return {
-            "hosts": len(self.hosts),
-            "frames_sent": sum(c.frames_sent for c in self._conns),
-            "frames_received": sum(c.frames_received for c in self._conns),
-            "bytes_sent": sum(c.bytes_sent for c in self._conns),
-        }
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)

@@ -23,9 +23,9 @@ the meta pickle — the packed int64 EdgeTable/ItemArray/CoarseTable columns
 ship with zero re-encoding, and the receive side rebuilds the arrays as
 views over the received buffers. :func:`decode_frame` parses one frame
 from a contiguous block, the in-memory reference the unit tests pin.
-Module-level :data:`WIRE` counters record total vs out-of-band bytes,
-which is exactly the "bytes-on-wire ≤ packed columns + framing overhead"
-gate the data-plane benchmark asserts.
+:class:`WireStats` counters record total vs out-of-band bytes, which is
+exactly the "bytes-on-wire ≤ packed columns + framing overhead" budget
+``tests/jobs/test_remote.py`` holds a remote run to.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "send_frame",
     "slot_of",
     "wire_stats",
-    "reset_wire_stats",
 ]
 
 _MAGIC = b"REF1"
@@ -71,9 +70,9 @@ class WireStats:
 
     ``buffer_bytes`` counts the out-of-band raw array buffers; everything
     else (headers, length prefixes, meta pickles) is framing/encoding
-    overhead. The benchmark gate is ``bytes_total - buffer_bytes`` per
-    message staying under a fixed cap — a pickle blowup (arrays re-encoded
-    element-wise into the meta) shows up there immediately.
+    overhead, which must stay under a fixed cap per message — a pickle
+    blowup (arrays re-encoded element-wise into the meta) shows up there
+    immediately.
 
     Instances are **scoped**: the module-level :data:`WIRE` counts frames
     sent by code that named no narrower accumulator (scope ``process``),
@@ -81,9 +80,8 @@ class WireStats:
     ``WireStats(scope=...)`` — so a coordinator and an in-process degrade
     path running concurrently no longer double-count each other's frames.
     Every ``add`` is mirrored into the bound metrics registry as the
-    ``repro_wire_*`` counter families labeled by scope; the raw fields
-    keep the historical resettable-snapshot semantics (the data-plane
-    benchmark resets between measurements; Prometheus counters never do).
+    ``repro_wire_*`` counter families labeled by scope; a run's own
+    traffic is the difference of two snapshots (or two registry states).
     """
 
     def __init__(self, registry=None, scope: str = "process"):
@@ -123,13 +121,6 @@ class WireStats:
                 "overhead_bytes": self.bytes_total - self.buffer_bytes,
             }
 
-    def reset(self) -> None:
-        """Zero the snapshot fields (registry counters stay monotonic)."""
-        with self._lock:
-            self.messages = 0
-            self.bytes_total = 0
-            self.buffer_bytes = 0
-
 
 class _LazyWire:
     """Deferred process-wide :class:`WireStats` (created on first use).
@@ -155,9 +146,6 @@ class _LazyWire:
     def snapshot(self) -> dict:
         return self._get().snapshot()
 
-    def reset(self) -> None:
-        self._get().reset()
-
     @property
     def messages(self) -> int:
         return self._get().messages
@@ -182,10 +170,6 @@ def wire_stats() -> dict:
     return WIRE.snapshot()
 
 
-def reset_wire_stats() -> None:
-    WIRE.reset()
-
-
 #: ``bytes`` payloads at least this large are shipped out-of-band like
 #: array buffers, instead of being copied into the meta pickle.
 _BYTES_OOB_MIN = 4096
@@ -202,7 +186,7 @@ class _FramePickler(pickle.Pickler):
     already-serialized payloads (pickled superstep *messages* riding
     inside a task result) are plain ``bytes`` — the default pickler would
     copy them into the meta, double-buffering the frame and blowing the
-    fixed-framing-overhead budget the data-plane benchmark gates on.
+    fixed per-frame framing budget.
 
     ``reducer_override``/``dispatch_table`` are skipped for exact core
     types like ``bytes``; ``persistent_id`` is the one hook consulted for

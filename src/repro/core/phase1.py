@@ -242,7 +242,6 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
 #: only if the tables of all its Phase-1 runs (15 at 8 partitions) are
 #: still held when it gets there, so a bigger table would be evicted
 #: before its next reader and only pin memory while its own run goes on.
-#: Disable with ``REPRO_PHASE1_TABLE_CACHE=0``.
 _TABLE_CACHE_BYTES = 16 << 20
 #: Digests the admission filter remembers (16-byte prefixes, oldest out).
 _SEEN_CAP = 4096
@@ -282,10 +281,7 @@ def _walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     m = int(edges.shape[0])
     entry_cap = _TABLE_CACHE_BYTES // 16
     # The two slot tables alone take 32 bytes per edge.
-    if (
-        32 * m > entry_cap
-        or os.environ.get("REPRO_PHASE1_TABLE_CACHE", "1") == "0"
-    ):
+    if 32 * m > entry_cap:
         return _build_walk_tables(edges, rdeg)
     digest = hashlib.sha256()
     digest.update(np.int64(m).tobytes())

@@ -266,8 +266,8 @@ class JobApi:
         faults_text = config_payload.pop("faults", None)
         config = config_from_dict(config_payload)
         if faults_text:
-            # The fault-injection harness rides the same wire config the
-            # chaos benchmarks use (grammar: "kind@at=2,attempts=1;...").
+            # The fault-injection harness rides the wire config too
+            # (grammar: "kind@at=2,attempts=1;...").
             config = replace(config, faults=FaultPlan.parse(str(faults_text)))
         graph, key, name = _graph_from_body(body, self.engine)
         handle = self.engine.submit(

@@ -12,8 +12,8 @@ This module is the single pane of glass those surfaces now feed:
   under the old ``WireStats``.
 * **Prometheus text rendering** (:meth:`MetricsRegistry.render`) in the
   0.0.4 exposition format, served by ``GET /metrics``,
-  plus :func:`parse_prometheus_text` so tests and the CI scrape gate can
-  validate what they scraped without a client library.
+  plus :func:`parse_prometheus_text` so tests can validate what they
+  scraped without a client library.
 * **Cross-process aggregation**: :meth:`MetricsRegistry.state` /
   :func:`diff_state` / :meth:`MetricsRegistry.merge_state` turn a worker's
   counter+histogram increments into a picklable delta that rides home in
@@ -70,9 +70,9 @@ DEFAULT_BUCKETS = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: Families ``GET /metrics`` must always expose (the CI scrape gate and
-#: the /metrics page test both pin this set). The engine pre-creates
-#: each so a fresh server renders the full schema at zero.
+#: Families ``GET /metrics`` must always expose (the /metrics page test
+#: pins this set). The engine pre-creates each so a fresh server renders
+#: the full schema at zero.
 REQUIRED_FAMILIES = (
     "repro_queue_depth",
     "repro_queue_jobs",
@@ -574,7 +574,7 @@ def use_registry(registry: MetricsRegistry):
 
 
 # ---------------------------------------------------------------------------
-# Exposition-format validation (tests + the CI scrape gate)
+# Exposition-format validation (what a scrape of ``GET /metrics`` accepts)
 # ---------------------------------------------------------------------------
 
 _SAMPLE_RE = re.compile(
@@ -592,7 +592,7 @@ def parse_prometheus_text(text: str) -> dict:
     """Validate exposition text; ``{family: {"type", "samples"}}``.
 
     Raises :class:`ValueError` on any malformed line — an unparseable
-    ``/metrics`` page must fail the CI gate loudly, not scrape as empty.
+    ``/metrics`` page must fail its test loudly, not scrape as empty.
     """
     families: dict[str, dict] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -65,7 +65,7 @@ def test_decoded_arrays_are_writable():
 
 def test_frame_overhead_is_fixed_not_proportional():
     """Framing/meta overhead must not scale with array payload size —
-    the guarantee the bytes-on-wire benchmark gate is built on."""
+    the guarantee the remote run's bytes-on-wire budget is built on."""
     def overhead(n):
         arr = np.arange(n, dtype=np.int64)
         _, total, buffer_bytes = tr.encode_frame({"a": arr})
@@ -94,7 +94,7 @@ def test_recv_rejects_allocation_bomb():
 
 
 def test_send_recv_over_socketpair_and_wire_stats():
-    tr.reset_wire_stats()
+    before = tr.wire_stats()
     a, b = socket.socketpair()
     try:
         obj = _payload()
@@ -108,7 +108,8 @@ def test_send_recv_over_socketpair_and_wire_stats():
         sent = tr.send_frame(a, obj)
         t.join(timeout=10)
         _assert_payload_equal(obj, got["obj"])
-        stats = tr.wire_stats()
+        after = tr.wire_stats()
+        stats = {k: after[k] - before[k] for k in after}
         assert stats["messages"] == 1
         assert stats["bytes_total"] == sent
         assert stats["buffer_bytes"] == obj["cols"].nbytes + obj["mask"].nbytes

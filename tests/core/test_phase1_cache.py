@@ -7,8 +7,8 @@ and admits a table on its second sighting only. These tests pin the
 contract: cached and freshly-built tables produce bit-identical walks, the
 cache never serves tables for a *different* topology, mutation of per-run
 state never bleeds into a cached table, the byte budget and the seen-set
-cap hold, threads share tables safely, a fork never inherits a held lock,
-and the kill-switch really kills it.
+cap hold, threads share tables safely, and a fork never inherits a held
+lock.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ def _census(store):
     )
 
 
-def test_second_run_hits_the_cache_and_matches(monkeypatch):
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
+def test_second_run_hits_the_cache_and_matches():
     edges, rdeg = _workload()
     t1 = _sight_twice(edges, rdeg)
     t2 = _tables_of(edges, rdeg)
@@ -81,8 +80,7 @@ def test_second_run_hits_the_cache_and_matches(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_distinct_topologies_do_not_collide(monkeypatch):
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
+def test_distinct_topologies_do_not_collide():
     edges, rdeg = _workload()
     variant = edges.copy()
     variant[0, 0], variant[0, 1] = variant[0, 1], variant[0, 0]  # flip an edge
@@ -95,18 +93,21 @@ def test_distinct_topologies_do_not_collide(monkeypatch):
     assert _tables_of(edges, rdeg) is t1  # each keeps its own slot
 
 
-def test_kill_switch_disables_caching(monkeypatch):
-    monkeypatch.setenv("REPRO_PHASE1_TABLE_CACHE", "0")
+def test_cached_walk_matches_uncached_walk(monkeypatch):
     edges, rdeg = _workload()
-    t1, t2, t3 = (_tables_of(edges, rdeg) for _ in range(3))
-    assert t2 is not t1 and t3 is not t2
-    assert not phase1._cache.tables and not phase1._cache.seen
-
+    _sight_twice(edges, rdeg)
     store_a, store_b = FragmentStore(), FragmentStore()
-    pm_a, _ = run_phase1(1, 0, edges, rdeg, store_a, validate=True)
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
-    pm_b, _ = run_phase1(1, 0, edges, rdeg, store_b, validate=True)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        pm_a, _ = run_phase1(1, 0, edges, rdeg, store_a, validate=True)
+    assert _counts(registry) == {"hit": 1}
+    # A zero budget makes every table skip the cache: built fresh.
+    monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)
+    with use_registry(registry):
+        pm_b, _ = run_phase1(1, 0, edges, rdeg, store_b, validate=True)
+    assert _counts(registry) == {"hit": 1}
     assert pm_a.ob_paths.tobytes() == pm_b.ob_paths.tobytes()
+    assert pm_a.anchored_cycles.tobytes() == pm_b.anchored_cycles.tobytes()
     assert _census(store_a) == _census(store_b)
 
 
@@ -117,7 +118,6 @@ def _cached_bytes():
 
 
 def test_oversized_tables_are_not_cached(monkeypatch):
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 64)
     edges, rdeg = _workload()
     t1, t2, t3 = (_tables_of(edges, rdeg) for _ in range(3))
@@ -126,7 +126,6 @@ def test_oversized_tables_are_not_cached(monkeypatch):
 
 
 def test_lru_bound_holds(monkeypatch):
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
     base, rdeg = _workload()
     one = phase1._build_walk_tables(edge_table(base), remote_deg_table(rdeg))
     budget = 16 * (2 * one.nbytes)  # every table is admitted; ~32 fit
@@ -143,7 +142,6 @@ def test_lru_bound_holds(monkeypatch):
 def test_tables_above_a_sixteenth_of_the_budget_are_not_cached(monkeypatch):
     """A repeat run only hits if all its tables survive, so a table larger
     than budget/16 is never admitted: it would pin memory for nothing."""
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
     edges, rdeg = _workload()
     one = phase1._build_walk_tables(edge_table(edges), remote_deg_table(rdeg))
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 16 * one.nbytes - 16)
@@ -158,7 +156,6 @@ def test_tables_above_a_sixteenth_of_the_budget_are_not_cached(monkeypatch):
 def test_byte_budget_bounds_dense_tables_over_a_large_id_space(monkeypatch):
     """Dense tables are O(id space), not O(edges): a few edges among ids
     near 2^16 make ~1 MB tables, and the byte budget must still hold."""
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
     budget = 16 << 20  # ~0.5 MB tables: each admitted, ~32 fit
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", budget)
     top = (1 << 16) - 1
@@ -188,8 +185,7 @@ def _counts(registry):
     return {key[0]: int(v) for key, v in snap.items()}
 
 
-def test_a_table_is_admitted_on_its_second_sighting(monkeypatch):
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
+def test_a_table_is_admitted_on_its_second_sighting():
     edges, rdeg = _workload()
     registry = MetricsRegistry()
     with use_registry(registry):
@@ -202,8 +198,7 @@ def test_a_table_is_admitted_on_its_second_sighting(monkeypatch):
     assert registry.gauge("repro_walk_cache_bytes").value == t2.nbytes
 
 
-def test_threads_share_admitted_tables(monkeypatch):
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
+def test_threads_share_admitted_tables():
     edges, rdeg = _workload()
     variant = edges[::-1].copy()
     seen = []
@@ -243,9 +238,8 @@ def test_concurrent_walks_match_a_serial_reference(monkeypatch):
         return pm.ob_paths.tobytes(), pm.anchored_cycles.tobytes(), stats, \
             _census(store)
 
-    monkeypatch.setenv("REPRO_PHASE1_TABLE_CACHE", "0")
+    monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)  # uncached
     reference = {e.tobytes(): walk(e) for e in shared + sum(private, [])}
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE")
     one = phase1._build_walk_tables(edge_table(base), remote_deg_table(rdeg))
     budget = 16 * 4 * one.nbytes  # ~4 tables fit: admissions evict
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", budget)
@@ -279,7 +273,6 @@ def test_concurrent_walks_match_a_serial_reference(monkeypatch):
 
 
 def test_seen_set_stays_within_its_cap(monkeypatch):
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
     monkeypatch.setattr(phase1, "_SEEN_CAP", 8)
     base, rdeg = _workload()
     variants = []
@@ -299,11 +292,10 @@ def test_seen_set_stays_within_its_cap(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_fork_while_another_thread_holds_the_cache_lock(monkeypatch):
+def test_fork_while_another_thread_holds_the_cache_lock():
     """A fork can land while a pool thread holds the lock (the forked
     dispatcher and process pools fork a threaded parent); the child
     must start with a fresh lock and an empty cache, and still walk."""
-    monkeypatch.delenv("REPRO_PHASE1_TABLE_CACHE", raising=False)
     edges, rdeg = _workload()
     _sight_twice(edges, rdeg)
     expected = run_phase1(1, 0, edges, rdeg, FragmentStore())[0].ob_paths

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.deltas import GraphDelta, RepairSession
 from repro.errors import DisconnectedGraphError, NotEulerianError
+from repro.generate.eulerize import eulerian_rmat
 from repro.pipeline.context import RunConfig
 from repro.scenarios.base import run_scenario
 
@@ -137,6 +138,23 @@ def test_repair_report_counters():
     rep = session.report()
     assert rep["hits"] > 0 and rep["replayed_fragments"] > 0
     assert rep["misses"] >= 1  # the dirty partition itself re-ran
+
+
+def test_one_edge_repair_re_runs_one_leaf_and_its_ancestors():
+    """A street closed on a 32-part R-MAT: what repair skips, as a count.
+
+    The detour dirties partitions 0 and 1. Of the merge tree's 63 nodes,
+    leaf 0 and its five ancestors re-run. Leaf 1 is dirty too, but its
+    edge table and remote degrees are unchanged, so it replays.
+    """
+    g, _ = eulerian_rmat(12, avg_degree=4.0, seed=7)
+    eid = np.random.default_rng(0).choice(g.n_edges, size=1, replace=False)
+    cfg = RunConfig(n_parts=32, partitioner="ldg", seed=0)
+    session = _repair_vs_cold(g, detour_delta(g, eid), cfg, threshold=0.5)
+    report = session.report()
+    assert report["decision"] == "repair"
+    assert report["dirty_parts"] == [0, 1]
+    assert (report["misses"], report["hits"]) == (6, 57)
 
 
 def test_advance_without_capture_reports_recompute():

@@ -77,8 +77,10 @@ def test_concurrent_jobs_match_serial_runs(tmp_path, pool_spec, cfg_kwargs):
         ]
         for name, handle in handles:
             assert_same_result(serial[name], handle.result(timeout=120))
-    # Every repeat after the first partition hit the catalog.
+    # Every repeat after the first partition hit the catalog, and the
+    # repeated postman job reused the first one's eulerization plan.
     assert engine.catalog.stats["partition_hits"] >= len(workloads)
+    assert engine.catalog.stats["plan_hits"] >= 1
 
 
 @settings(max_examples=5, deadline=None)

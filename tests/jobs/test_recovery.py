@@ -6,7 +6,7 @@ state, no goodbye. The contract under test: **no acknowledged submission
 is ever lost** — every journaled job is either re-enqueued (same id) or
 terminally resolved, and status stays queryable throughout. The
 full-process version of the same story (a real ``kill -9`` of a serve
-subprocess) runs in ``benchmarks/bench_serving.py --chaos``.
+subprocess) is ``test_server.py::test_kill_9_mid_backlog_loses_no_acked_job``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,10 @@ from repro.bsp import shm
 from repro.bsp.engine import ComputeResult
 from repro.bsp.executors import RemoteExecutor
 from repro.bsp.transport import FrameConnection
+from repro.core import find_euler_circuit
 from repro.errors import BSPError, TransientJobError
 from repro.faults import FaultPlan
+from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import random_eulerian
 from repro.jobs import (
     CANCELLED,
@@ -40,6 +43,7 @@ from repro.jobs import (
     graph_key,
     shard_of,
 )
+from repro.obs import diff_state, get_registry
 from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
 
@@ -303,6 +307,47 @@ def test_task_without_an_installed_program_is_an_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the remote wire: packed columns plus a fixed framing allowance
+# ---------------------------------------------------------------------------
+
+#: Framing allowance per frame on the remote wire: header, buffer length
+#: prefixes and the pickled task/result *structure* (not its array
+#: payload). Measured ~1.3 KB/frame on the scale-13 input below, ~4.5
+#: KB/frame at scale 15 and ~13.7 KB/frame on rmat500k (~0.3% of payload:
+#: structure grows with fragment count, far sublinear in bytes); a
+#: payload-re-encoding regression inflates this by 10-100x, which is what
+#: the cap catches. Byte counts are deterministic, so the budget needs no
+#: machine-speed scaling.
+FRAME_OVERHEAD_CAP = 16384
+
+
+def test_remote_run_ships_packed_columns_with_fixed_framing(two_hosts):
+    """Everything a remote run puts on the wire beyond its raw packed
+    buffers fits a fixed per-frame allowance: table columns and pickled
+    superstep messages ship out of band, never re-encoded in the meta.
+    Both hosts are in-process, so one registry diff sees both directions.
+    """
+    g, _ = eulerian_rmat(13, avg_degree=4.0, seed=7)
+    serial = find_euler_circuit(g, n_parts=8, partitioner="hash", seed=0)
+    registry = get_registry()
+    before = registry.state()
+    res = find_euler_circuit(g, n_parts=8, partitioner="hash", seed=0,
+                             executor="remote",
+                             hosts=[h.address for h in two_hosts])
+    counters = diff_state(before, registry.state())["counters"]
+    messages, total, buffers = (
+        int(sum(counters[f"repro_wire_{name}_total"]["children"].values()))
+        for name in ("messages", "bytes", "buffer_bytes")
+    )
+    assert messages > 0
+    assert total - buffers <= messages * FRAME_OVERHEAD_CAP
+    np.testing.assert_array_equal(serial.circuit.vertices,
+                                  res.circuit.vertices)
+    np.testing.assert_array_equal(serial.circuit.edge_ids,
+                                  res.circuit.edge_ids)
+
+
+# ---------------------------------------------------------------------------
 # host death: the acceptance scenario
 # ---------------------------------------------------------------------------
 
@@ -327,42 +372,56 @@ def _spawn_cli_worker(tmp_path, name):
 
 
 @pytest.mark.skipif(not shm.shm_available(), reason="needs /dev/shm")
-def test_sigkilled_host_job_retries_bit_identical(tmp_path, graph):
-    """SIGKILL one of two worker hosts mid-job (injected host_kill): the
-    coordinator re-dispatches to the survivor, the final result is
-    bit-identical to an unfaulted run, and after the janitor sweep the
-    dead host's segments are gone."""
+def test_sigkilled_host_job_retries_bit_identical(tmp_path):
+    """A short soak over two worker host processes, one job of which
+    SIGKILLs its host mid-job (injected host_kill): that job retries on the
+    survivor, every job on either graph ends DONE and bit-identical to its
+    serial run, the jobs after the kill all run on the survivor, and after
+    the janitor sweep neither host's segments are left."""
+    graphs = [random_eulerian(60 + 10 * i, 5, 16, seed=i) for i in range(2)]
     config = RunConfig(n_parts=4, seed=0)
-    serial = run_scenario(graph, "circuit", config)
+    serial = [run_scenario(g, "circuit", config) for g in graphs]
 
     p1, addr1, pid1 = _spawn_cli_worker(tmp_path, "w1")
     p2, addr2, pid2 = _spawn_cli_worker(tmp_path, "w2")
     procs = {0: p1, 1: p2}
     try:
-        # Arm the kill on whichever host the graph homes on, so the first
-        # dispatch (home-shard placement) is the one that dies.
-        faulted = FaultPlan.parse("host_kill@at=2")
         with JobEngine(
             tmp_path / "coord", dispatcher="remote",
             hosts=f"{addr1},{addr2}", default_max_retries=2,
         ) as engine:
-            handle = engine.submit(
-                "circuit", graph=graph,
-                config=RunConfig(n_parts=4, seed=0, faults=faulted),
-            )
-            res = handle.result(timeout=120)
-            job = engine.job(handle.job_id)
-            stats = engine.supervisor_stats()
+            def run_all(jobs):
+                """Submit ``(graph index, faults)`` jobs, check each ends
+                DONE and equal to its serial run; returns the jobs."""
+                handles = [
+                    (gi, engine.submit("circuit", graph=graphs[gi],
+                                       config=replace(config, faults=f)))
+                    for gi, f in jobs
+                ]
+                for gi, handle in handles:
+                    assert_same_result(serial[gi], handle.result(timeout=120))
+                    assert engine.job(handle.job_id).state == DONE
+                return [engine.job(h.job_id) for _, h in handles]
 
-        assert job.state == DONE
-        assert job.attempt >= 1, "host death should have forced a retry"
-        assert stats["hosts"]["host_failures"] >= 1
-        passes = [p["pass"] for p in job.passes]
-        assert "host_failure" in passes or "retry" in passes
-        assert_same_result(serial, res)
+            run_all([(0, None), (1, None), (0, None), (1, None)])
+            # Alone in the engine, the faulted job goes to its graph's home
+            # host (home-shard placement), so that host is the one that dies.
+            [job] = run_all([(0, FaultPlan.parse("host_kill@at=2"))])
+            home = shard_of(graph_key(graphs[0]), 2)
+            assert procs[home].wait(timeout=30) is not None, \
+                "faulted host survived"
+            assert job.attempt >= 1, "host death should have forced a retry"
+            passes = [p["pass"] for p in job.passes]
+            assert "host_failure" in passes or "retry" in passes
+            hosts = engine.supervisor_stats()["hosts"]
+            assert hosts["host_failures"] >= 1
+            at_kill = [h["jobs"] for h in hosts["per_host"]]
 
-        home = shard_of(graph_key(graph), 2)
-        assert procs[home].wait(timeout=30) is not None, "faulted host survived"
+            run_all([(i % 2, None) for i in range(6)])
+            after = [h["jobs"] for h in
+                     engine.supervisor_stats()["hosts"]["per_host"]]
+        assert after[home] == at_kill[home]
+        assert after[1 - home] == at_kill[1 - home] + 6
     finally:
         for p in (p1, p2):
             if p.poll() is None:

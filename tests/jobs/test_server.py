@@ -1,8 +1,10 @@
 """Serve API: full HTTP round-trips against an in-process server."""
 
+import contextlib
 import http.client
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -198,14 +200,15 @@ def test_http_over_preforked_engine(tmp_path):
         engine.close()
 
 
-def test_cli_serve_announces_its_url_on_a_pipe(tmp_path):
-    """The `listening on` line reaches a pipe while the server runs, with
-    no PYTHONUNBUFFERED: launchers read the bound port from it."""
+@contextlib.contextmanager
+def _serve_child(cache_root, *flags):
+    """A `repro-euler serve --port 0` child with stdout on a pipe and no
+    PYTHONUNBUFFERED; yields ``(proc, url)`` once it announces its URL."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
     with subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--cache-root", str(tmp_path / "cat")],
+         "--cache-root", str(cache_root), *flags],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
     ) as proc:
         lines = []
@@ -225,13 +228,59 @@ def test_cli_serve_announces_its_url_on_a_pipe(tmp_path):
                 time.sleep(0.05)
             url = next(line for line in lines if b"listening on" in line
                        ).split(b"listening on ", 1)[1].split()[0].decode()
-            with urllib.request.urlopen(url + "/healthz", timeout=10) as resp:
-                assert resp.status == 200
+            yield proc, url
         finally:
-            proc.terminate()
+            if proc.poll() is None:
+                proc.terminate()
+                try:
+                    proc.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    proc.kill()  # e.g. a drain held up by a sleeping job
             proc.wait(timeout=30)
             reader.join(timeout=10)
-    assert not reader.is_alive()
+        assert not reader.is_alive()
+
+
+def test_cli_serve_announces_its_url_on_a_pipe(tmp_path):
+    """The `listening on` line reaches a pipe while the server runs, with
+    no PYTHONUNBUFFERED: launchers read the bound port from it."""
+    with _serve_child(tmp_path / "cat") as (_, url):
+        with urllib.request.urlopen(url + "/healthz", timeout=10) as resp:
+            assert resp.status == 200
+
+
+def test_kill_9_mid_backlog_loses_no_acked_job(tmp_path):
+    """SIGKILL a real `serve` child with a journaled backlog and restart it
+    on the same root: recovery requeues every acked job, each ends DONE,
+    and the restarted server drains and exits 0 on SIGTERM."""
+    flags = ("--dispatchers", "1", "--max-retries", "2")
+    g = grid_city(6, 6)
+    edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    # The first job sleeps at its first superstep on the only dispatcher,
+    # so every job acked after it is still queued when the kill lands.
+    # Fault plans are never journaled: the recovered run is clean.
+    hold = {"n_parts": 2, "faults": "slow@at=0,delay=300"}
+    with _serve_child(tmp_path / "cat", *flags) as (proc, url):
+        client = JobClient(url)
+        key = client.put_graph(edges=edges)["graph_key"]
+        acked = [client.submit("circuit", graph_key=key, config=config)
+                 ["job_id"] for config in [hold] + [{"n_parts": 2}] * 7]
+        client.close()
+        proc.kill()
+        proc.wait(timeout=30)
+
+    with _serve_child(tmp_path / "cat", *flags) as (proc, url):
+        client = JobClient(url)
+        try:
+            states = {jid: client.wait(jid, timeout=60)["state"]
+                      for jid in acked}
+            recovery = client.health()["fault_tolerance"]["recovery"]
+        finally:
+            client.close()
+        assert states == dict.fromkeys(acked, "DONE")
+        assert recovery["requeued"] == len(acked)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
 
 
 def test_config_from_dict_round_trip():

@@ -242,8 +242,8 @@ def test_null_registry_is_inert():
 
 
 def test_required_families_is_a_stable_schema():
-    # The CI scrape gate and the /metrics page test both key on this
-    # exact set; additions are fine, removals are a contract break.
+    # The /metrics page test keys on this exact set; additions are fine,
+    # removals are a contract break.
     assert set(REQUIRED_FAMILIES) >= {
         "repro_queue_depth",
         "repro_queue_delay_seconds",
