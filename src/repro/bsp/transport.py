@@ -66,7 +66,7 @@ MAX_FRAME_BYTES = 1 << 30
 
 
 class WireStats:
-    """Thread-safe byte accounting for the frame protocol.
+    """Byte accounting for the frame protocol, kept in the metrics registry.
 
     ``buffer_bytes`` counts the out-of-band raw array buffers; everything
     else (headers, length prefixes, meta pickles) is framing/encoding
@@ -78,56 +78,50 @@ class WireStats:
     sent by code that named no narrower accumulator (scope ``process``),
     while each remote host pool / executor / worker host owns its own
     ``WireStats(scope=...)`` — so a coordinator and an in-process degrade
-    path running concurrently no longer double-count each other's frames.
-    Every ``add`` is mirrored into the bound metrics registry as the
-    ``repro_wire_*`` counter families labeled by scope; a run's own
-    traffic is the difference of two snapshots (or two registry states).
+    path running concurrently never double-count each other's frames.
+    The counts live only in the registry's ``repro_wire_*`` counter
+    families, labeled by scope, and :meth:`snapshot` reads them there.
+    Instances of one scope on one registry share those children, so a
+    run's own traffic is the difference of two snapshots.
     """
 
     def __init__(self, registry=None, scope: str = "process"):
-        self._lock = threading.Lock()
         self.scope = scope
-        self.messages = 0
-        self.bytes_total = 0
-        self.buffer_bytes = 0
         reg = registry if registry is not None else get_registry()
-        self._m_messages = reg.counter(
+        self._messages = reg.counter(
             "repro_wire_messages_total", "Frames sent", labelnames=("scope",)
         ).labels(scope=scope)
-        self._m_bytes = reg.counter(
+        self._bytes = reg.counter(
             "repro_wire_bytes_total", "Frame bytes sent (header+meta+buffers)",
             labelnames=("scope",),
         ).labels(scope=scope)
-        self._m_buffer_bytes = reg.counter(
+        self._buffer_bytes = reg.counter(
             "repro_wire_buffer_bytes_total",
             "Out-of-band array buffer bytes sent", labelnames=("scope",),
         ).labels(scope=scope)
 
     def add(self, total: int, buffers: int) -> None:
-        with self._lock:
-            self.messages += 1
-            self.bytes_total += int(total)
-            self.buffer_bytes += int(buffers)
-        self._m_messages.inc()
-        self._m_bytes.inc(int(total))
-        self._m_buffer_bytes.inc(int(buffers))
+        self._messages.inc()
+        self._bytes.inc(int(total))
+        self._buffer_bytes.inc(int(buffers))
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "messages": self.messages,
-                "bytes_total": self.bytes_total,
-                "buffer_bytes": self.buffer_bytes,
-                "overhead_bytes": self.bytes_total - self.buffer_bytes,
-            }
+        total = int(self._bytes.value)
+        buffers = int(self._buffer_bytes.value)
+        return {
+            "messages": int(self._messages.value),
+            "bytes_total": total,
+            "buffer_bytes": buffers,
+            "overhead_bytes": total - buffers,
+        }
 
 
 class _LazyWire:
     """Deferred process-wide :class:`WireStats` (created on first use).
 
-    Binding the registry at import time would freeze the global registry
-    before a test (or ``REPRO_METRICS=0``) could swap it; deferring to
-    first frame keeps module import side-effect free.
+    Deferring to the first frame keeps importing this module free of
+    side effects: the process-global registry and its ``scope="process"``
+    wire series appear only once something sends or reads them.
     """
 
     _inner: WireStats | None = None
@@ -145,18 +139,6 @@ class _LazyWire:
 
     def snapshot(self) -> dict:
         return self._get().snapshot()
-
-    @property
-    def messages(self) -> int:
-        return self._get().messages
-
-    @property
-    def bytes_total(self) -> int:
-        return self._get().bytes_total
-
-    @property
-    def buffer_bytes(self) -> int:
-        return self._get().buffer_bytes
 
 
 #: Process-wide accumulator every unscoped frame send adds to (receives
@@ -368,7 +350,7 @@ def connect(addr: tuple[str, int], timeout: float | None = 10.0) -> socket.socke
 
 
 class FrameConnection:
-    """One framed peer connection: ``send``/``recv``/``request`` + counters.
+    """One framed peer connection: ``send``/``recv``/``request``.
 
     Send and receive sides carry independent locks so a pipelined caller
     (send N frames, then collect N replies) can overlap directions; callers
@@ -383,9 +365,6 @@ class FrameConnection:
         self.stats = stats  # scoped WireStats, or None for the global WIRE
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
-        self.bytes_sent = 0
-        self.frames_sent = 0
-        self.frames_received = 0
 
     @classmethod
     def open(cls, addr: tuple[str, int],
@@ -394,24 +373,18 @@ class FrameConnection:
 
     def send(self, obj: Any) -> int:
         with self._send_lock:
-            n = send_frame(self.sock, obj, stats=self.stats)
-        self.bytes_sent += n
-        self.frames_sent += 1
-        return n
+            return send_frame(self.sock, obj, stats=self.stats)
 
     def recv(self, timeout: float | None = None) -> Any:
         """Receive one frame; ``socket.timeout`` when ``timeout`` elapses."""
         with self._recv_lock:
-            if timeout is not None:
-                self.sock.settimeout(timeout)
-                try:
-                    obj = recv_frame(self.sock)
-                finally:
-                    self.sock.settimeout(None)
-            else:
-                obj = recv_frame(self.sock)
-        self.frames_received += 1
-        return obj
+            if timeout is None:
+                return recv_frame(self.sock)
+            self.sock.settimeout(timeout)
+            try:
+                return recv_frame(self.sock)
+            finally:
+                self.sock.settimeout(None)
 
     def request(self, obj: Any, timeout: float | None = None) -> Any:
         self.send(obj)

@@ -93,7 +93,7 @@ def _dir_bytes(path: Path) -> int:
     return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
 
-#: The catalog's counter kinds (one labeled series each on /metrics).
+#: The catalog's event kinds (one ``repro_catalog_events_total`` child each).
 _STAT_KINDS = (
     "graph_hits",
     "graph_misses",
@@ -108,33 +108,6 @@ _STAT_KINDS = (
 )
 
 
-class _CatalogStats(dict):
-    """Dict-shaped counters mirrored into ``repro_catalog_events_total``.
-
-    Reads, iteration and JSON serialization behave exactly like the old
-    plain dict — the ``/catalog`` endpoint and the caching tests that
-    assert exact counts on fresh catalogs are unchanged. Writes
-    additionally push the new total into the owning registry's
-    ``repro_catalog_events_total{kind=...}`` counter, so ``GET /metrics``
-    reports hit/evict/rebuild rates without a scrape-time bridge.
-    """
-
-    def __init__(self, metrics: MetricsRegistry):
-        super().__init__({k: 0 for k in _STAT_KINDS})
-        family = metrics.counter(
-            "repro_catalog_events_total",
-            "Catalog cache hits/misses, evictions and rebuilds by kind",
-            labelnames=("kind",),
-        )
-        self._children = {k: family.labels(kind=k) for k in _STAT_KINDS}
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        child = self._children.get(key)
-        if child is not None:
-            child.set_total(value)
-
-
 class GraphCatalog:
     """Content-addressed store of graphs and their derived setup artifacts."""
 
@@ -144,8 +117,15 @@ class GraphCatalog:
         self.size_budget_bytes = size_budget_bytes
         # Private registry by default: tests build fresh catalogs and
         # assert exact hit/miss counts, so two catalogs must never share
-        # counter series. The engine passes its registry in.
+        # counter series. The engine's /metrics page renders it beside
+        # its own.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        family = self.metrics.counter(
+            "repro_catalog_events_total",
+            "Catalog cache hits/misses, evictions and rebuilds by kind",
+            labelnames=("kind",),
+        )
+        self._events = {k: family.labels(kind=k) for k in _STAT_KINDS}
         self._lock = threading.RLock()
         self._graphs: dict[str, Graph] = {}
         self._partitions: dict[tuple[str, str, int, int], dict] = {}
@@ -164,14 +144,16 @@ class GraphCatalog:
         #: (:meth:`share`), letting forked dispatcher workers attach
         #: instead of re-reading the NPZ.
         self._segstore: shm.SharedSegmentStore | None = None
-        #: Flat hit/miss/eviction counters, served by the ``/catalog``
-        #: endpoint and asserted by the caching tests; writes mirror into
-        #: ``repro_catalog_events_total`` on the catalog's registry.
-        self.stats = _CatalogStats(self.metrics)
         (self.root / "graphs").mkdir(parents=True, exist_ok=True)
         (self.root / "derived").mkdir(parents=True, exist_ok=True)
         (self.root / "deltas").mkdir(parents=True, exist_ok=True)
         self._index: dict[str, dict] = self._load_index()
+
+    @property
+    def stats(self) -> dict:
+        """Hit/miss/eviction counts by kind (the ``/catalog`` endpoint),
+        read from ``repro_catalog_events_total``."""
+        return {k: int(c.value) for k, c in self._events.items()}
 
     # -- index ------------------------------------------------------------
 
@@ -263,7 +245,7 @@ class GraphCatalog:
         with self._lock:
             g = self._graphs.get(key)
             if g is not None:
-                self.stats["graph_hits"] += 1
+                self._events["graph_hits"].inc()
                 self._touch(key)
                 return g
             if key not in self._index:
@@ -272,7 +254,7 @@ class GraphCatalog:
             while g is None:
                 path = self._graph_path(k)
                 if path.exists():
-                    self.stats["graph_misses"] += 1
+                    self._events["graph_misses"].inc()
                     # The archive was written from a validated Graph at
                     # put(); skip the range re-scan so the mapping stays lazy.
                     g, _ = load_npz(path, mmap=True, validate=False)
@@ -289,7 +271,7 @@ class GraphCatalog:
                 g = self.load_delta(k).apply(g)
                 self._keep(k, g)
             if chain:
-                self.stats["delta_rebuilds"] += 1
+                self._events["delta_rebuilds"].inc()
                 self._live[key] = weakref.ref(g)
             self._touch(key)
             return g
@@ -442,7 +424,7 @@ class GraphCatalog:
             base = self.get(base_key)
             child = delta.apply(base)
             key = graph_key(child)
-            self.stats["mutations"] += 1
+            self._events["mutations"].inc()
             if key in self._index:
                 self._touch(key)
                 if pin:
@@ -573,13 +555,13 @@ class GraphCatalog:
             ck = (key, partitioner, n_eff, int(seed))
             entry = self._partitions.get(ck)
             if entry is not None:
-                self.stats["partition_hits"] += 1
+                self._events["partition_hits"].inc()
                 return entry
             path = self._derived_dir(key) / f"part_{partitioner}_p{n_eff}_s{seed}.npz"
             if path.exists():
                 with np.load(path) as z:
                     part_of = np.array(z["part_of"], dtype=np.int64)
-                self.stats["partition_hits"] += 1
+                self._events["partition_hits"].inc()
             else:
                 # A delta child's canonical map is the parent's map
                 # extended over the delta — this is what makes incremental
@@ -589,7 +571,7 @@ class GraphCatalog:
                     key, meta, partitioner, n_parts, seed, n_eff
                 )
                 if part_of is None:
-                    self.stats["partition_misses"] += 1
+                    self._events["partition_misses"].inc()
                     g = self.get(key)
                     part_of = np.asarray(
                         partition_graph(
@@ -598,7 +580,7 @@ class GraphCatalog:
                         dtype=np.int64,
                     )
                 else:
-                    self.stats["partition_extensions"] += 1
+                    self._events["partition_extensions"].inc()
                 with atomic_write(path, suffix=".npz") as fh:
                     np.savez(fh, part_of=part_of)
             entry = {
@@ -644,7 +626,7 @@ class GraphCatalog:
                 raise KeyError(f"unknown graph key {key!r}")
             plan = self._plans.get(key)
             if plan is not None:
-                self.stats["plan_hits"] += 1
+                self._events["plan_hits"].inc()
                 return plan
             path = self._derived_dir(key) / "eulerize_plan.npz"
             if path.exists():
@@ -657,9 +639,9 @@ class GraphCatalog:
                         "n_vertices": int(z["n_vertices"]),
                         "n_edges": int(z["n_edges"]),
                     }
-                self.stats["plan_hits"] += 1
+                self._events["plan_hits"].inc()
             else:
-                self.stats["plan_misses"] += 1
+                self._events["plan_misses"].inc()
                 plan = compute_plan(self.get(key))
                 with atomic_write(path, suffix=".npz") as fh:
                     np.savez(fh, **plan)
@@ -767,7 +749,7 @@ class GraphCatalog:
         # in-flight users still reading through the graph's mmap.
         self._forget(key)
         self._index.pop(key, None)
-        self.stats["evictions"] += 1
+        self._events["evictions"].inc()
         ref = self._live.pop(key, None)
         live = ref() if ref is not None else None
         if live is not None:

@@ -436,10 +436,11 @@ class ForkedWorkerPool(SupervisedPool):
         self._ctx = multiprocessing.get_context("fork")
         self.flags = shm.CancelFlags.create(n)
         self.heartbeats = shm.HeartbeatSlots.create(n)
-        self._breaker = RollingBreaker(respawn_budget, respawn_window,
-                                       breaker_cooldown)
         self._init_supervision("forked", hang_timeout=hang_timeout,
                                metrics=metrics)
+        self._breaker = RollingBreaker(respawn_budget, respawn_window,
+                                       breaker_cooldown,
+                                       failures=self._m_respawns)
         #: job id → worker slot for running jobs — how :meth:`cancel`
         #: finds the flag to raise.
         self._slots: dict[str, int] = {}
@@ -449,11 +450,8 @@ class ForkedWorkerPool(SupervisedPool):
         for slot in range(n):
             self._spawn(slot)
 
-    @property
-    def total_respawns(self) -> int:
-        return self._breaker.count
-
     def _spawn(self, slot: int) -> None:
+        self._reap(slot)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
@@ -466,10 +464,22 @@ class ForkedWorkerPool(SupervisedPool):
         child_conn.close()
         self._workers[slot] = (proc, parent_conn)
 
+    def _reap(self, slot: int) -> None:
+        """Kill and join the process still holding ``slot``, if any, and
+        close its pipe: a respawn must never orphan a live worker that
+        :meth:`close` would then not know about."""
+        entry = self._workers[slot]
+        if entry is None:
+            return
+        proc, conn = entry
+        if proc.is_alive():
+            proc.kill()
+        proc.join(timeout=5.0)
+        conn.close()
+
     def _respawn_after_failure(self, slot: int) -> None:
         """Respawn a failed slot and charge it against the breaker budget."""
         self._breaker.record()
-        self._m_respawns.inc()
         self._spawn(slot)
 
     def circuit_open(self) -> bool:
@@ -533,10 +543,7 @@ class ForkedWorkerPool(SupervisedPool):
                 if self.hang_timeout is not None:
                     age = self.heartbeats.age_seconds(slot)
                     if age is not None and age > self.hang_timeout:
-                        self.record_hung_kill()
-                        proc.kill()
-                        proc.join(timeout=2.0)
-                        conn.close()
+                        self._m_hung.inc()
                         self._respawn_after_failure(slot)
                         raise TransientJobError(
                             f"dispatcher worker {slot} hung (no heartbeat "
@@ -547,8 +554,6 @@ class ForkedWorkerPool(SupervisedPool):
         except TransientJobError:
             raise
         except (EOFError, BrokenPipeError, OSError):
-            conn.close()
-            proc.join(timeout=1.0)
             self._respawn_after_failure(slot)
             raise TransientJobError(
                 f"dispatcher worker {slot} died mid-job; respawned"

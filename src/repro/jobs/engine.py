@@ -236,8 +236,8 @@ class JobEngine:
         if default_max_retries < 0:
             raise ValueError("default_max_retries must be >= 0")
         #: The engine's metric sink: the process-global registry by default,
-        #: or a caller-supplied one (a second in-process engine — the
-        #: degrade path, tests — must not share counter series).
+        #: or a caller-supplied one (a test, or a second engine in one
+        #: process, must not share counter series).
         self.metrics = metrics if metrics is not None else get_registry()
         self.catalog = (
             catalog if isinstance(catalog, GraphCatalog) else GraphCatalog(catalog)
@@ -306,8 +306,6 @@ class JobEngine:
         #: Pending backoff timers → their jobs; close() resolves survivors.
         self._retry_timers: dict[threading.Timer, Job] = {}
         self._timers_lock = threading.Lock()
-        self._retries_scheduled = 0
-        self._degraded_jobs = 0
         self._draining = False
         self._stop_dispatch = False
         self._ids = itertools.count(1)
@@ -919,7 +917,6 @@ class JobEngine:
                 # Graceful degradation: the worker pool is crash-looping or
                 # every host is down; run in-process (slower, shared GIL)
                 # rather than feed jobs to workers that keep dying.
-                self._degraded_jobs += 1
                 self.metrics.counter("repro_degraded_dispatch_total").inc()
                 job.record_pass("degraded_dispatch", 0.0,
                                 reason=dispatcher.degrade_reason)
@@ -1038,7 +1035,6 @@ class JobEngine:
         timer.daemon = True
         with self._timers_lock:
             self._retry_timers[timer] = job
-        self._retries_scheduled += 1
         self.metrics.counter("repro_retries_scheduled_total").inc()
         timer.start()
         return True
@@ -1236,9 +1232,6 @@ class JobEngine:
                   labelnames=("method", "status"))
         m.histogram("repro_stage_seconds", "Wall seconds per pipeline stage",
                     labelnames=("stage",))
-        m.counter("repro_catalog_events_total",
-                  "Catalog cache hits/misses, evictions and rebuilds by kind",
-                  labelnames=("kind",))
         m.gauge("repro_shm_segments", "Live shared-memory segments")
         m.gauge("repro_shm_bytes", "Bytes resident in shared-memory segments")
         m.counter("repro_wire_messages_total", "Frames sent",
@@ -1261,21 +1254,19 @@ class JobEngine:
                   "Jobs degraded to in-process execution (breaker open)")
         m.counter("repro_retries_scheduled_total",
                   "Transient-failure retries scheduled")
-        m.counter("repro_journal_appends_total",
-                  "Durable journal records appended")
         m.counter("repro_shm_attaches_total",
                   "Shared-segment descriptor handouts")
 
     def render_metrics(self) -> str:
-        """``GET /metrics``: bridge the dict-view surfaces into gauges,
-        then render the whole registry as Prometheus text.
+        """``GET /metrics``: the engine's, the catalog's and the journal's
+        registries as one Prometheus text page.
 
-        Native counters/histograms (queue transitions, queue delay, wire
-        bytes, stage latency, walk cache, respawns) accumulate in the
-        registry on their hot paths; the surfaces that stayed dict-first
-        (segment stats, catalog stats, breaker state, journal) are read
-        here, at scrape time, so the page is consistent without making
-        every dict write pay for a second bookkeeping scheme.
+        Every counter and histogram accumulates in the registry of the
+        component that counts it, on its hot path, and each family is
+        registered by that component alone, so no family renders twice.
+        What is read here, at scrape time, is the live state the gauges
+        report: queue depth, jobs per state, shm segments and bytes, and
+        whether the pool's breaker is open.
         """
         m = self.metrics
         counts = self.queue.counts()
@@ -1286,24 +1277,21 @@ class JobEngine:
         seg = self.segment_stats()
         m.gauge("repro_shm_segments").set(seg.get("segments", 0))
         m.gauge("repro_shm_bytes").set(seg.get("bytes", 0))
-        cat_family = m.counter("repro_catalog_events_total",
-                               labelnames=("kind",))
-        for kind, n in self.catalog.stats.items():
-            cat_family.labels(kind=kind).set_total(n)
         pool = self._dispatcher
         if isinstance(pool, supervise.SupervisedPool):
             m.gauge("repro_breaker_open", labelnames=("pool",)).labels(
                 pool=pool.pool_label).set(1 if pool.circuit_open() else 0)
-        if self.journal is not None:
-            m.counter("repro_journal_appends_total").labels().set_total(
-                self.journal.appended)
         # Frames sent by code that named no scoped accumulator (the shared
         # process-wide WIRE) still belong on this engine's page when the
         # engine owns the process default registry; scoped senders already
         # wrote themselves in at add() time.
-        if self.metrics is get_registry():
+        if m is get_registry():
             frame.WIRE.snapshot()  # touch: materialize the lazy accumulator
-        return m.render()
+        registries = [m, self.catalog.metrics]
+        if self.journal is not None:
+            registries.append(self.journal.metrics)
+        distinct = {id(r): r for r in registries}.values()
+        return "".join(r.render() for r in distinct)
 
     def __enter__(self) -> "JobEngine":
         return self

@@ -183,10 +183,9 @@ class JobJournal:
         self._lock = threading.Lock()
         self._fd: int | None = None
         self._seq = 0
-        self.appended = 0
         # Private registry by default: a throwaway journal in a test must
-        # not leak appends into the process-wide /metrics page. The engine
-        # passes its own registry in.
+        # not leak appends into the process-wide registry. The engine's
+        # /metrics page renders it beside its own.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_appends = self.metrics.counter(
             "repro_journal_appends_total",
@@ -214,7 +213,6 @@ class JobJournal:
             os.write(fd, json.dumps(record, default=float).encode() + b"\n")
             if self.fsync:
                 os.fsync(fd)
-            self.appended += 1
             self._m_appends.inc()
             return record
 
@@ -336,7 +334,8 @@ class JobJournal:
             size = self.path.stat().st_size
         except OSError:
             size = 0
-        return {"path": str(self.path), "appended": self.appended,
+        return {"path": str(self.path),
+                "appended": int(self._m_appends.value),
                 "bytes": size, "fsync": self.fsync}
 
     def close(self) -> None:

@@ -352,7 +352,6 @@ class RemoteHostPool(SupervisedPool):
             for i, addr in enumerate(addrs)
         ]
         self.total_dispatched = 0
-        self.total_host_failures = 0
         #: Provisioning telemetry: how graphs reached the hosts, and how
         #: many bytes crossed the wire each way (the delta path ships
         #: kilobytes where the full path ships the whole NPZ).
@@ -399,7 +398,6 @@ class RemoteHostPool(SupervisedPool):
                 if host[attr] is not None:
                     host[attr].close()
                     host[attr] = None
-            self.total_host_failures += 1
             self._cond.notify_all()
         self._m_respawns.inc()
 
@@ -520,7 +518,7 @@ class RemoteHostPool(SupervisedPool):
                 raise EOFError(f"control ping failed: {exc}") from exc
             age = pong.get("beat_age")
             if age is not None and age > self.hang_timeout:
-                self.record_hung_kill()
+                self._m_hung.inc()
                 self._mark_down(host)
                 raise TransientJobError(
                     f"worker host {self._host_name(host)} hung (no "
@@ -568,7 +566,7 @@ class RemoteHostPool(SupervisedPool):
                 "up": sum(1 for h in self._hosts if now >= h["down_until"]),
                 "busy": sum(1 for h in self._hosts if h["busy"]),
                 "dispatched": self.total_dispatched,
-                "host_failures": self.total_host_failures,
+                "host_failures": int(self._m_respawns.value),
                 "provisioning": {
                     "full": self.graphs_shipped_full,
                     "delta": self.graphs_shipped_delta,

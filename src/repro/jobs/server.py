@@ -216,15 +216,15 @@ class JobApi:
         }
 
     def _GET_metrics(self, parts, body, path):  # noqa: N802
-        # Prometheus text exposition (0.0.4). The engine bridges dict-view
-        # stats (queue counts, segments, catalog, breakers) into gauges at
-        # scrape time, then renders the whole registry.
+        # Prometheus text exposition (0.0.4): the engine sets its live-state
+        # gauges, then renders its own, the catalog's and the journal's
+        # registries.
         return 200, TextResponse(self.engine.render_metrics())
 
     def _GET_catalog(self, parts, body, path):  # noqa: N802
         return 200, {
             "entries": self.engine.catalog.entries(),
-            "stats": dict(self.engine.catalog.stats),
+            "stats": self.engine.catalog.stats,
             "disk_bytes": self.engine.catalog.disk_bytes(),
         }
 

@@ -10,8 +10,8 @@ bookkeeping and stats dict. The common pieces now live here exactly once:
   failures in a rolling window; past the budget, open for a cooldown).
   The forked pool charges worker respawns against it; anything else that
   needs "stop feeding a crash loop" semantics reuses it.
-* :class:`SupervisedPool` — the mixin both pools inherit: hung-kill
-  counting (mirrored into the metrics registry), the shared
+* :class:`SupervisedPool` — the mixin both pools inherit: the respawn
+  and hung-kill counters in the metrics registry, the shared
   ``supervisor_base()`` stats block whose key set
   (:data:`SUPERVISOR_BASE_KEYS`) is pinned by a regression test so the
   two pools can never drift apart again.
@@ -22,6 +22,7 @@ bookkeeping and stats dict. The common pieces now live here exactly once:
 
 The old ``supervisor_stats()`` methods survive as thin views over these
 helpers — ``/healthz`` consumers and existing tests see identical keys.
+Every count in them is a registry child read back as an ``int``.
 """
 
 from __future__ import annotations
@@ -55,10 +56,13 @@ class RollingBreaker:
     ``record()`` charges one failure; once more than ``budget`` failures
     land inside ``window`` seconds, :meth:`open` turns true for
     ``cooldown`` seconds. Thread-safe; the clock is injectable for tests.
+    ``failures`` is the counter child that keeps the lifetime count (the
+    owning pool's ``repro_dispatcher_respawns_total`` series); without
+    one the breaker counts into a private registry.
     """
 
     def __init__(self, budget: int, window: float, cooldown: float,
-                 clock=time.monotonic):
+                 clock=time.monotonic, failures=None):
         self.budget = budget
         self.window = window
         self.cooldown = cooldown
@@ -66,13 +70,19 @@ class RollingBreaker:
         self._lock = threading.Lock()
         self._times: deque[float] = deque()
         self._broken_until = 0.0
-        self.count = 0  # lifetime failures charged
+        self._failures = failures if failures is not None else (
+            MetricsRegistry().counter("repro_breaker_failures_total").labels())
+
+    @property
+    def count(self) -> int:
+        """Lifetime failures charged."""
+        return int(self._failures.value)
 
     def record(self) -> bool:
         """Charge one failure; returns True when this opened the breaker."""
         now = self._clock()
+        self._failures.inc()
         with self._lock:
-            self.count += 1
             self._times.append(now)
             while self._times and now - self._times[0] > self.window:
                 self._times.popleft()
@@ -116,7 +126,6 @@ class SupervisedPool:
                           hang_timeout: float | None = None,
                           metrics: MetricsRegistry | None = None) -> None:
         self.hang_timeout = hang_timeout
-        self.hung_kills = 0
         self.pool_label = pool_label
         self._metrics = metrics if metrics is not None else get_registry()
         self._m_respawns = self._metrics.counter(
@@ -130,10 +139,6 @@ class SupervisedPool:
             labelnames=("pool",),
         ).labels(pool=pool_label)
 
-    def record_hung_kill(self) -> None:
-        self.hung_kills += 1
-        self._m_hung.inc()
-
     def circuit_open(self) -> bool:
         raise NotImplementedError
 
@@ -143,7 +148,7 @@ class SupervisedPool:
     def supervisor_base(self) -> dict:
         """The shared stats block (key set: :data:`SUPERVISOR_BASE_KEYS`)."""
         return {
-            "hung_kills": self.hung_kills,
+            "hung_kills": int(self._m_hung.value),
             "hang_timeout": self.hang_timeout,
             "circuit_open": self.circuit_open(),
             "circuit_reset_seconds": self.circuit_reset_seconds(),
@@ -158,10 +163,12 @@ def engine_supervisor_stats(engine) -> dict:
     """
     with engine._watch_lock:
         n_watches = len(engine._watches)
+    m = engine.metrics
     stats = {
         "dispatcher": engine.dispatcher,
-        "retries_scheduled": engine._retries_scheduled,
-        "degraded_jobs": engine._degraded_jobs,
+        "retries_scheduled": int(
+            m.counter("repro_retries_scheduled_total").value),
+        "degraded_jobs": int(m.counter("repro_degraded_dispatch_total").value),
         "draining": engine._draining,
         "swept_segments": list(engine.swept_segments),
         "recovery": dict(engine.recovery_stats),

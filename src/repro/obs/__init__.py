@@ -17,7 +17,6 @@ from .metrics import (
     diff_state,
     get_registry,
     parse_prometheus_text,
-    set_registry,
     use_registry,
 )
 from .spans import (
@@ -46,7 +45,6 @@ __all__ = [
     "get_registry",
     "parse_prometheus_text",
     "record_stage",
-    "set_registry",
     "use_registry",
     "use_trace",
 ]

@@ -1,15 +1,15 @@
 """One metrics registry for the whole stack: counters, gauges, histograms.
 
-Every subsystem used to keep its own ad-hoc stats dict (``wire_stats()``,
-three ``supervisor_stats()``, ``queue.counts()``, catalog counters, ...).
-This module is the single pane of glass those surfaces now feed:
+Every count the stack keeps lives in a registry, once. The dict-shaped
+surfaces (``wire_stats()``, the ``supervisor_stats()`` blocks of
+``/healthz``, ``journal.stats()``, the catalog's ``stats``) are reads of
+registry children cast to ``int``, never a second tally beside them.
 
 * :class:`MetricsRegistry` — a named collection of typed metrics.
   Registration is idempotent (``registry.counter(name, ...)`` returns the
   existing family), children are cached per label set, and the hot path
   (``child.inc()`` / ``child.observe()``) is one small lock hold — cheap
-  enough for per-frame wire accounting, which already paid exactly that
-  under the old ``WireStats``.
+  enough for per-frame wire accounting.
 * **Prometheus text rendering** (:meth:`MetricsRegistry.render`) in the
   0.0.4 exposition format, served by ``GET /metrics``,
   plus :func:`parse_prometheus_text` so tests can validate what they
@@ -23,12 +23,12 @@ This module is the single pane of glass those surfaces now feed:
 
 Scoping: :func:`get_registry` returns the process-global registry (the
 default sink — one process, one exporter). Code that must not share
-counters (a test, a second in-process engine) builds its own
+counters (a test, a second engine in one process) builds its own
 :class:`MetricsRegistry` and threads it through, or installs it as the
 *ambient* registry with :func:`use_registry` so deep call sites
 (phase-1 walk cache, shm attach) pick it up via :func:`ambient` without
-parameter plumbing. ``REPRO_METRICS=0`` swaps the global registry for
-:data:`NULL_REGISTRY`, whose instruments are no-ops.
+parameter plumbing. :data:`NULL_REGISTRY`, whose instruments are no-ops,
+is the overhead guard's baseline.
 
 Naming convention (see ARCHITECTURE.md "Observability"): every family is
 ``repro_<subsystem>_<what>[_<unit>][_total]`` — ``_total`` for counters,
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
 import re
 import threading
 from bisect import bisect_left
@@ -59,7 +58,6 @@ __all__ = [
     "diff_state",
     "get_registry",
     "parse_prometheus_text",
-    "set_registry",
     "use_registry",
 ]
 
@@ -71,8 +69,9 @@ DEFAULT_BUCKETS = (
 )
 
 #: Families ``GET /metrics`` must always expose (the /metrics page test
-#: pins this set). The engine pre-creates each so a fresh server renders
-#: the full schema at zero.
+#: pins this set). The engine pre-creates each, apart from
+#: ``repro_catalog_events_total``, which its catalog registers, so a fresh
+#: server renders the full schema at zero.
 REQUIRED_FAMILIES = (
     "repro_queue_depth",
     "repro_queue_jobs",
@@ -130,12 +129,6 @@ class _CounterChild(_Child):
     def inc(self, n: float = 1.0) -> None:
         with self._lock:
             self.value += n
-
-    def set_total(self, value: float) -> None:
-        """Forward-only set — for bridging an external monotonic source."""
-        with self._lock:
-            if value > self.value:
-                self.value = value
 
 
 class _GaugeChild(_Child):
@@ -471,7 +464,7 @@ def diff_state(before: dict, after: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Null registry (REPRO_METRICS=0 and the overhead-guard baseline)
+# Null registry (the overhead-guard baseline)
 # ---------------------------------------------------------------------------
 
 
@@ -479,7 +472,6 @@ class _NullChild:
     def inc(self, n: float = 1.0) -> None: pass
     def dec(self, n: float = 1.0) -> None: pass
     def set(self, value: float) -> None: pass
-    def set_total(self, value: float) -> None: pass
     def observe(self, value: float) -> None: pass
     value = 0.0
 
@@ -519,7 +511,7 @@ class _NullRegistry(MetricsRegistry):
     def merge_state(self, delta): pass
 
 
-#: The shared no-op registry (``REPRO_METRICS=0``, overhead baselines).
+#: The shared no-op registry (overhead baselines).
 NULL_REGISTRY = _NullRegistry()
 
 
@@ -528,23 +520,13 @@ _global_registry: MetricsRegistry | None = None
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-global registry (:data:`NULL_REGISTRY` when disabled)."""
+    """The process-global registry (created on first use)."""
     global _global_registry
     if _global_registry is None:
         with _global_lock:
             if _global_registry is None:
-                if os.environ.get("REPRO_METRICS", "1") == "0":
-                    _global_registry = NULL_REGISTRY
-                else:
-                    _global_registry = MetricsRegistry()
+                _global_registry = MetricsRegistry()
     return _global_registry
-
-
-def set_registry(registry: MetricsRegistry | None) -> None:
-    """Replace the process-global registry (tests; ``None`` resets lazily)."""
-    global _global_registry
-    with _global_lock:
-        _global_registry = registry
 
 
 _ambient: contextvars.ContextVar = contextvars.ContextVar(

@@ -17,6 +17,7 @@ import pytest
 
 from repro.bsp import shm
 from repro.bsp import transport as tr
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -131,8 +132,9 @@ def test_recv_frame_eof_on_clean_close():
 
 def test_frame_connection_request_reply():
     a, b = socket.socketpair()
+    sent = tr.WireStats(registry=MetricsRegistry(), scope="client")
     server = tr.FrameConnection(b)
-    client = tr.FrameConnection(a)
+    client = tr.FrameConnection(a, stats=sent)
     try:
         def serve_one():
             req = server.recv()
@@ -143,8 +145,8 @@ def test_frame_connection_request_reply():
         reply = client.request({"op": "ping"}, timeout=10)
         t.join(timeout=10)
         assert reply == {"echo": {"op": "ping"}}
-        assert client.frames_sent == 1 and client.frames_received == 1
-        assert client.bytes_sent > 0
+        assert sent.snapshot()["messages"] == 1
+        assert sent.snapshot()["bytes_total"] > 0
     finally:
         client.close()
         server.close()

@@ -24,6 +24,7 @@ from repro.errors import JobCancelledError, JobFailedError
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs import CANCELLED, DONE, FAILED, GraphCatalog, JobEngine
 from repro.jobs.dispatch import FlagToken, ForkedWorkerPool
+from repro.obs import MetricsRegistry
 from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
 from repro.scenarios.base import SCENARIOS, Scenario, register_scenario
@@ -208,6 +209,24 @@ def test_engine_close_reaps_forked_workers(tmp_path):
     alive = {p.pid for p in multiprocessing.active_children()}
     assert not any(pid in alive for pid in pids)
     engine.close()  # idempotent
+
+
+def test_respawn_reaps_the_live_worker_it_replaces(tmp_path):
+    """Respawning a slot whose worker still runs kills and joins that
+    worker first, so no respawn leaves a process behind close()."""
+    pool = ForkedWorkerPool(1, GraphCatalog(tmp_path / "cat"),
+                            metrics=MetricsRegistry())
+    pids = {pool._workers[0][0].pid}
+    try:
+        for _ in range(3):
+            pool._respawn_after_failure(0)
+            pids.add(pool._workers[0][0].pid)
+    finally:
+        pool.close()
+    assert len(pids) == 4
+    left = [p for p in multiprocessing.active_children()
+            if p.name.startswith("job-worker-")]
+    assert left == []
 
 
 def test_forked_pool_validates_args(tmp_path):

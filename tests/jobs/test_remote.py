@@ -43,7 +43,7 @@ from repro.jobs import (
     graph_key,
     shard_of,
 )
-from repro.obs import diff_state, get_registry
+from repro.obs import MetricsRegistry, diff_state, get_registry
 from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
 
@@ -146,7 +146,7 @@ def test_remote_dispatcher_matches_serial(tmp_path, two_hosts, graph):
     serial = run_scenario(graph, "circuit", config)
     with JobEngine(
         tmp_path / "coord", dispatcher="remote",
-        hosts=[h.address for h in two_hosts],
+        hosts=[h.address for h in two_hosts], metrics=MetricsRegistry(),
     ) as engine:
         handles = [
             engine.submit("circuit", graph=graph, config=config)
@@ -226,6 +226,7 @@ def test_all_hosts_down_degrades_to_in_process(tmp_path, graph):
     with JobEngine(
         tmp_path / "coord", dispatcher="remote",
         hosts="127.0.0.1:9", default_max_retries=2,  # port 9: discard, dead
+        metrics=MetricsRegistry(),
     ) as engine:
         handle = engine.submit("circuit", graph=graph, config=config)
         res = handle.result(timeout=60)
@@ -389,6 +390,7 @@ def test_sigkilled_host_job_retries_bit_identical(tmp_path):
         with JobEngine(
             tmp_path / "coord", dispatcher="remote",
             hosts=f"{addr1},{addr2}", default_max_retries=2,
+            metrics=MetricsRegistry(),
         ) as engine:
             def run_all(jobs):
                 """Submit ``(graph index, faults)`` jobs, check each ends

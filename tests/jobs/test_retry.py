@@ -26,6 +26,7 @@ from repro.jobs.client import JobClient, JobClientError
 from repro.jobs.dispatch import ForkedWorkerPool
 from repro.jobs.remote import WorkerHost
 from repro.jobs.server import make_server
+from repro.obs import MetricsRegistry
 from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
 from repro.scenarios.base import SCENARIOS, register_scenario
@@ -36,16 +37,22 @@ needs_shm = pytest.mark.skipif(
 )
 
 
+# Each engine counts into its own registry, so the exact counts the
+# tests read from supervisor_stats() are that engine's alone.
+
+
 def _thread_engine(tmp_path, **kwargs) -> JobEngine:
     kwargs.setdefault("dispatchers", 1)
     kwargs.setdefault("pool_kind", "thread")
     kwargs.setdefault("pool_workers", 2)
-    return JobEngine(GraphCatalog(tmp_path / "cat"), **kwargs)
+    return JobEngine(GraphCatalog(tmp_path / "cat"),
+                     metrics=MetricsRegistry(), **kwargs)
 
 
 def _process_engine(tmp_path, n=1, **kwargs) -> JobEngine:
     return JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=n,
-                     dispatcher="process", **kwargs)
+                     dispatcher="process", metrics=MetricsRegistry(),
+                     **kwargs)
 
 
 def _assert_same_circuits(ref, got):
@@ -210,7 +217,7 @@ def test_worker_kill_retries_to_identical_result(tmp_path):
         assert job.state == DONE and job.attempt == 1
         # The kill was real: the slot runs a different pid now.
         assert engine._dispatcher._workers[0][0].pid != victim
-        assert engine._dispatcher.total_respawns >= 1
+        assert engine.supervisor_stats()["workers"]["respawns"] >= 1
 
 
 @needs_shm
@@ -240,7 +247,7 @@ def test_kill_at_every_superstep_is_bit_identical(tmp_path):
             assert boundary < 50, "superstep sweep never terminated"
         # The run really has safe points, and we killed at every one.
         assert kills >= 2
-        assert engine._dispatcher.total_respawns == kills
+        assert engine.supervisor_stats()["workers"]["respawns"] == kills
 
 
 @needs_shm
@@ -264,7 +271,7 @@ def test_hung_worker_is_detected_killed_and_job_retried(tmp_path):
 def test_respawn_budget_opens_circuit_breaker(tmp_path):
     pool = ForkedWorkerPool(1, GraphCatalog(tmp_path / "cat"),
                             respawn_budget=2, respawn_window=60.0,
-                            breaker_cooldown=60.0)
+                            breaker_cooldown=60.0, metrics=MetricsRegistry())
     try:
         assert not pool.circuit_open()
         pool._respawn_after_failure(0)

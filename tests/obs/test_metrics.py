@@ -81,16 +81,6 @@ def test_histogram_buckets_are_cumulative_in_render():
     assert "repro_lat_seconds_count 4" in text
 
 
-def test_set_total_is_forward_only():
-    m = MetricsRegistry()
-    c = m.counter("repro_bridge_total").labels()
-    c.set_total(10)
-    c.set_total(4)  # a stale/reset external source cannot move it back
-    assert c.value == 10.0
-    c.set_total(12)
-    assert c.value == 12.0
-
-
 def test_hot_path_is_thread_safe():
     m = MetricsRegistry()
     child = m.counter("repro_hot_total", labelnames=("k",)).labels(k="x")

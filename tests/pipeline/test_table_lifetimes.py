@@ -160,11 +160,15 @@ def test_install_frame_carries_each_table_once(tmp_path):
     assert total - buffers <= 64 << 10
     with WorkerHost(tmp_path / "h") as host:
         ex = RemoteExecutor([host.address])
+        # Every remote executor's frames share one registry series; this
+        # executor's are the difference across its start.
+        before = ex.wire.snapshot()
         try:
             ex.start(program)
-            sent = ex.wire.snapshot()
+            after = ex.wire.snapshot()
         finally:
             ex.close()
+    sent = {k: after[k] - before[k] for k in after}
     assert sent["messages"] == 1
     assert (sent["bytes_total"], sent["buffer_bytes"]) == (total, buffers)
 
