@@ -21,9 +21,9 @@ paper's Spark cluster:
     partitions except through messages and the returned results. What
     crosses that boundary is columnar: partition states are packed int64
     arrays (held rows, CoarseTable, remote-degree table) and a returned
-    :class:`~repro.core.pathmap.FragmentBatch` pickles all its fragment
-    bodies as one concatenated ItemArray buffer plus a metadata table —
-    a few raw buffers per task instead of per-element tuple encoding.
+    :class:`~repro.core.pathmap.FragmentBatch` pickles as its block: the
+    walk kernel's ItemArray plus the per-root columns — a few raw buffers
+    per task instead of per-element tuple encoding.
 
 ``remote``
     Partitions run on :class:`~repro.jobs.remote.WorkerHost` processes

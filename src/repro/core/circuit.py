@@ -16,7 +16,12 @@ import numpy as np
 from ..errors import InvalidCircuitError
 from ..graph.graph import Graph
 
-__all__ = ["EulerCircuit", "check_step_incidence", "verify_circuit"]
+__all__ = [
+    "EulerCircuit",
+    "check_step_incidence",
+    "edge_coverage",
+    "verify_circuit",
+]
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,30 @@ class EulerCircuit:
         return f"EulerCircuit({kind}, n_edges={self.n_edges}, start={self.start})"
 
 
+#: Steps per block of the walk checks: their working memory is a few
+#: block-sized temporaries plus one bool per edge, whatever the walk's length.
+CHECK_BLOCK = 1 << 16
+
+
+def _id_blocks(edge_ids: np.ndarray, n_edges: int):
+    """Yield ``(start, block)`` over ``edge_ids``, range-checking each block.
+
+    Raises :class:`~repro.errors.InvalidCircuitError` naming the first id
+    outside ``[0, n_edges)``: such an id indexes no edge, so no later check
+    may index with it.
+    """
+    for lo in range(0, edge_ids.shape[0], CHECK_BLOCK):
+        block = edge_ids[lo:lo + CHECK_BLOCK]
+        bad = (block < 0) | (block >= n_edges)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidCircuitError(
+                f"step {lo + i}: edge id {int(block[i])} is not an edge of "
+                f"the graph (ids 0..{n_edges - 1})"
+            )
+        yield lo, block
+
+
 def check_step_incidence(
     graph: Graph, vertices: np.ndarray, edge_ids: np.ndarray
 ) -> None:
@@ -67,19 +96,33 @@ def check_step_incidence(
     The one incidence definition shared by every walk verifier (circuit,
     covering walk, reassembled component): step ``i`` must join
     ``vertices[i]`` and ``vertices[i+1]`` via edge ``edge_ids[i]`` in either
-    orientation.
+    orientation. Runs in blocks of :data:`CHECK_BLOCK` steps.
     """
-    eu = graph.edge_u[edge_ids]
-    ev = graph.edge_v[edge_ids]
-    a, b = vertices[:-1], vertices[1:]
-    ok = ((a == eu) & (b == ev)) | ((a == ev) & (b == eu))
-    if not bool(ok.all()):
-        bad = int(np.flatnonzero(~ok)[0])
-        raise InvalidCircuitError(
-            f"step {bad}: edge {int(edge_ids[bad])}="
-            f"({int(eu[bad])},{int(ev[bad])}) "
-            f"does not join vertices {int(a[bad])}->{int(b[bad])}"
-        )
+    edge_ids = np.asarray(edge_ids, dtype=np.int64)
+    for lo, block in _id_blocks(edge_ids, graph.n_edges):
+        eu = graph.edge_u[block]
+        ev = graph.edge_v[block]
+        a = vertices[lo:lo + block.shape[0]]
+        b = vertices[lo + 1:lo + 1 + block.shape[0]]
+        ok = ((a == eu) & (b == ev)) | ((a == ev) & (b == eu))
+        if not bool(ok.all()):
+            bad = int(np.argmin(ok))
+            raise InvalidCircuitError(
+                f"step {lo + bad}: edge {int(block[bad])}="
+                f"({int(eu[bad])},{int(ev[bad])}) "
+                f"does not join vertices {int(a[bad])}->{int(b[bad])}"
+            )
+
+
+def edge_coverage(edge_ids: np.ndarray, n_edges: int) -> np.ndarray:
+    """``bool (n_edges,)``: which edges the walk uses, range-checked.
+
+    Built block by block, so the only m-long temporary is the bitmap itself.
+    """
+    seen = np.zeros(n_edges, dtype=bool)
+    for _, block in _id_blocks(edge_ids, n_edges):
+        seen[block] = True
+    return seen
 
 
 def verify_circuit(
@@ -87,10 +130,12 @@ def verify_circuit(
 ) -> None:
     """Raise :class:`~repro.errors.InvalidCircuitError` unless valid.
 
-    Checks, all vectorized: edge count equals the graph's, every edge id
-    used exactly once, every step's endpoints match its edge id, consecutive
-    incidence, and closure (unless ``require_closed`` is False, for Euler
-    paths).
+    Checks, vectorized in blocks: edge count equals the graph's, every edge
+    id is in range and used exactly once, every step's endpoints match its
+    edge id, consecutive incidence, and closure (unless ``require_closed``
+    is False, for Euler paths). With exactly ``m`` ids in range, "each used
+    once" is "every edge covered", so a bool bitmap decides it; counts are
+    taken only to name the duplicated and missing ids of a failing walk.
     """
     m = graph.n_edges
     eids = np.asarray(circuit.edge_ids, dtype=np.int64)
@@ -105,8 +150,8 @@ def verify_circuit(
         raise InvalidCircuitError(
             f"vertex sequence length {verts.shape[0]} != n_edges + 1 ({m + 1})"
         )
-    counts = np.bincount(eids, minlength=m)
-    if counts.max(initial=0) > 1 or int(counts.sum()) != m:
+    if not edge_coverage(eids, m).all():
+        counts = np.bincount(eids, minlength=m)
         dup = np.flatnonzero(counts > 1)[:8].tolist()
         missing = np.flatnonzero(counts == 0)[:8].tolist()
         raise InvalidCircuitError(

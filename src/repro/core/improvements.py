@@ -104,18 +104,14 @@ def plan_remote_placement(
         dtype=np.int64,
         count=pair_keys.size,
     )
-    lv = pair_levels[pair_inverse]
     merge_level_by_eid = np.full(pg.graph.n_edges, -1, dtype=np.int64)
     if cut_eids.size:
-        merge_level_by_eid[cut_eids] = lv
+        merge_level_by_eid[cut_eids] = pair_levels[pair_inverse]
+    del pair_inverse
 
     cu = u[cut_eids]
     cv = v[cut_eids]
-    if not dedup:
-        # Both directed copies: (u,v) held by u's side, (v,u) by v's side.
-        owners = np.concatenate((pu, pv))
-        eid_col = np.concatenate((cut_eids, cut_eids))
-    else:
+    if dedup:
         # "Heavier" = more cumulative remote half-edges under eager
         # placement; the lighter side holds, ties break toward the smaller
         # pid.
@@ -125,32 +121,31 @@ def plan_remote_placement(
         wa, wb = weight[pu], weight[pv]
         a_holds = (wa < wb) | ((wa == wb) & (pu <= pv))
         owners = np.where(a_holds, pu, pv)
-        eid_col = cut_eids
+        del wa, wb
 
-    # Group rows by owning partition (within a partition: ascending eid).
-    # Sort first, then gather one column at a time straight into each
-    # partition's own array: every partition's rows can be freed on their
-    # own once merged away, and at most one column-sized temporary is alive.
-    order = np.lexsort((eid_col, owners))
-    starts = np.zeros(pg.n_parts + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=pg.n_parts), out=starts[1:])
-    del owners
-    rows_for = {
-        pid: np.empty((int(starts[pid + 1] - starts[pid]), 4), dtype=np.int64)
-        for pid in range(pg.n_parts)
-    }
-    # Columns (src, dst, eid, dst_pid) as (u-side, v-side) pairs: eager
-    # holds both sides, dedup picks the holding side per edge.
-    pairs = ((cu, cv), (cv, cu), None, (pv, pu))
-    for col, pair in enumerate(pairs):
-        if pair is None:
-            values = eid_col[order]
-        elif dedup:
-            values = np.where(a_holds, *pair)[order]
+    # Each partition's rows straight from its own cut positions: a cut
+    # edge's two sides lie in different partitions, so a partition holds
+    # each eid at most once (eager: the side it is on; dedup: the side it
+    # owns), and its positions already ascend by eid. Columns are (src,
+    # dst, eid, dst_pid) seen from the holding side, built one partition at
+    # a time so the only cut-sized temporary is a mask.
+    rows_for = {}
+    for pid in range(pg.n_parts):
+        if dedup:
+            pos = np.flatnonzero(owners == pid)
+            u_side = a_holds[pos]
         else:
-            values = np.concatenate(pair)[order]
-        for pid, rows in rows_for.items():
-            rows[:, col] = values[starts[pid]:starts[pid + 1]]
+            on_u = pu == pid
+            pos = np.flatnonzero(on_u | (pv == pid))
+            u_side = on_u[pos]
+            del on_u
+        rows = np.empty((pos.size, 4), dtype=np.int64)
+        a, b = cu[pos], cv[pos]
+        rows[:, 0] = np.where(u_side, a, b)
+        rows[:, 1] = np.where(u_side, b, a)
+        rows[:, 2] = cut_eids[pos]
+        rows[:, 3] = np.where(u_side, pv[pos], pu[pos])
+        rows_for[pid] = rows
     return RemotePlacement(
         rows_for=rows_for,
         merge_level_by_eid=merge_level_by_eid,

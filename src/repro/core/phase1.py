@@ -29,7 +29,8 @@ all three stages, mergeInto's pivot lookup, the splice of merged cycles
 into their roots and the ItemArray decode — runs in a small C kernel
 (``walk.c``, loaded by :mod:`repro.core.walk_kernel` with the GIL
 released), writing every fragment body into one preallocated
-``int64 (m, 4)`` block; each fragment's body is a view into that block.
+``int64 (m, 4)`` block, which the run registers as its
+:class:`~repro.core.pathmap.FragmentBlock` beside per-root columns.
 :func:`_walk_reference` is the same walk in Python: the reference the
 kernel is tested against, and the path taken when no C compiler works.
 No per-edge Python object exists on the kernel path.
@@ -48,7 +49,7 @@ import numpy as np
 from ..errors import InvariantViolation
 from ..obs import ambient
 from . import walk_kernel
-from .pathmap import ITEM_FRAG, KIND_CYCLE, KIND_PATH, FragmentStore, PathMap
+from .pathmap import ITEM_FRAG, FragmentBlock, FragmentStore, PathMap
 from .walk_kernel import WALK_ANCHORED, WALK_EB, WALK_MERGED, WALK_PATH
 
 __all__ = [
@@ -377,7 +378,10 @@ def run_phase1(
         appearing neither here nor on any local edge do not exist at this
         level.
     store:
-        Fragment registry that receives the new fragments.
+        Fragment sink (a :class:`~repro.core.pathmap.FragmentStore` or a
+        run's :class:`~repro.core.pathmap.FragmentBatch`) that receives the
+        run's fragments as one block and knows the raw-edge counts of the
+        coarse edges' fragments.
     validate:
         When True, check Lemmas 1–2 on every walk and raise
         :class:`~repro.errors.InvariantViolation` on failure (used by tests;
@@ -420,59 +424,43 @@ def run_phase1(
         n_trivial=n_eb - counts[WALK_EB],
     )
 
-    # ---- register one fragment per root walk -------------------------------
+    # ---- register the run as one block ------------------------------------
     # ``items`` holds every root's spliced body back to back (roots in walk
     # order): the EdgeTable's kind column *is* the ItemArray tag column
     # (EDGE_RAW == ITEM_EDGE, EDGE_COARSE == ITEM_FRAG) and ref carries over
-    # unchanged; per-fragment bodies are views into the one block. This
-    # keeps the NumPy fixed cost per *run*, not per fragment — partitions
-    # routinely produce tens of thousands of tiny path fragments.
+    # unchanged. The block stores it as is, beside one column per root
+    # attribute, so the NumPy fixed cost is per *run*, not per fragment —
+    # partitions routinely produce tens of thousands of tiny path fragments.
     roots = recs[recs[:, 2] != WALK_MERGED]
     n_roots = roots.shape[0]
     is_path = roots[:, 2] == WALK_PATH
-    srcs = roots[:, 0]
+    srcs = roots[:, 0].copy()
     dsts = np.where(is_path, roots[:, 1], srcs)  # a cycle ends where it began
     if t.vert_ids is not None:
         srcs, dsts = t.vert_ids[srcs], t.vert_ids[dsts]
-    lengths = roots[:, 3]
     bounds = np.zeros(n_roots + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
+    np.cumsum(roots[:, 3], out=bounds[1:])
     # Raw-edge weights: every root is non-empty, so reduceat is safe; coarse
-    # items add their fragments' cached counts (few per run).
+    # items add their fragments' recorded counts.
     is_frag = items[:, 0] == ITEM_FRAG
-    n_frag_rows = (
-        np.add.reduceat(is_frag.astype(np.int64), bounds[:-1])
-        if n_roots
-        else np.empty(0, dtype=np.int64)
-    )
-    extra_edges = np.zeros(n_roots, dtype=np.int64)
+    n_edges = bounds[1:] - bounds[:-1]
     frag_positions = np.flatnonzero(is_frag)
     if frag_positions.size:
+        n_edges -= np.add.reduceat(is_frag.astype(np.int64), bounds[:-1])
         owners = np.searchsorted(bounds[1:], frag_positions, side="right")
-        frag_refs = items[frag_positions, 1]
-        for ridx, ref in zip(owners.tolist(), frag_refs.tolist()):
-            extra_edges[ridx] += store.get(ref).n_edges
-    n_edges_arr = lengths - n_frag_rows + extra_edges
-
-    ob_rows: list[tuple[int, int, int]] = []
-    ob_edges: list[int] = []
-    anchored: list[int] = []
+        np.add.at(n_edges, owners, store.edge_counts(items[frag_positions, 1]))
+    del is_frag, frag_positions
+    kind = (~is_path).astype(np.int8)  # KIND_PATH = 0, KIND_CYCLE = 1
+    base = store.add_block(
+        FragmentBlock(level, pid, items, kind, srcs, dsts, n_edges, bounds)
+    )
+    fids = base + np.arange(n_roots, dtype=np.int64)
     pathmap = PathMap(pid=pid, level=level)
-    for idx, (path, src, dst, n_edges) in enumerate(zip(
-        is_path.tolist(), srcs.tolist(), dsts.tolist(), n_edges_arr.tolist()
-    )):
-        frag = store.new_fragment(
-            KIND_PATH if path else KIND_CYCLE, level, pid, src, dst,
-            items[bounds[idx]:bounds[idx + 1]], n_edges,
-        )
-        if path:
-            ob_rows.append((frag.src, frag.dst, frag.fid))
-            ob_edges.append(n_edges)
-        else:
-            anchored.append(frag.fid)
-    pathmap.ob_paths = np.array(ob_rows, dtype=np.int64).reshape(-1, 3)
-    pathmap.ob_path_edges = np.array(ob_edges, dtype=np.int64)
-    pathmap.anchored_cycles = np.array(anchored, dtype=np.int64)
+    pathmap.ob_paths = np.column_stack(
+        (srcs[is_path], dsts[is_path], fids[is_path])
+    )
+    pathmap.ob_path_edges = n_edges[is_path]
+    pathmap.anchored_cycles = fids[~is_path]
     pathmap.n_merged_cycles = stats.n_iv_cycles_merged
     pathmap.n_trivial = stats.n_trivial
     return pathmap, stats

@@ -17,7 +17,9 @@ Phase 1 "persisted to disk") and the pathMaps, from which two things follow:
   vertex and created at a lower level".
 
 The unroll consumes ItemArrays (packed ``int64 (n, 4)`` bodies, see
-:mod:`repro.core.pathmap`): fragment reversal and rotation are pure array
+:mod:`repro.core.pathmap`), each a row slice of its Phase-1 run's block
+read with :meth:`~repro.core.pathmap.FragmentStore.body` — no fragment
+object is built. Fragment reversal and rotation are pure array
 ops (:func:`_reverse_items` / :func:`_rotate_to`), and each pushed body is
 read through a zero-copy flat int64 ``memoryview``. The emit loop stays
 scalar — the pending-splice check is inherently per emitted vertex, and
@@ -59,11 +61,10 @@ def build_pending_index(
     index: dict[int, list[int]] = defaultdict(list)
     fids = sorted(set(int(f) for f in anchored_fids))
     for fid in fids:
-        frag = store.get(fid)
-        if frag.kind != KIND_CYCLE:
+        if store.kind_of(fid) != KIND_CYCLE:
             raise InvariantViolation(f"anchored fragment {fid} is not a cycle")
-        items = store.items_of(fid)
-        verts = np.unique(np.append(items[:, 2], frag.src))
+        items, src = store.body(fid)
+        verts = np.unique(np.append(items[:, 2], src))
         for v in verts.tolist():
             index[v].append(fid)
     return dict(index)
@@ -109,8 +110,8 @@ def reconstruct_circuit(
     Parameters
     ----------
     store:
-        The fragment registry (bodies may be spilled; they are loaded on
-        demand, once each).
+        The fragment registry, read through its column views (a spilled
+        block is memory-mapped once, on its first read).
     anchored_fids:
         Fragment ids of every anchored cycle produced across all levels
         (every ``KIND_CYCLE`` fragment; path fragments are consumed by
@@ -128,12 +129,12 @@ def reconstruct_circuit(
     """
     pending = build_pending_index(store, anchored_fids)
     consumed: set[int] = set()
-    base = store.get(base_fid)
+    base_items, base_src = store.body(base_fid)
     consumed.add(base_fid)
 
     # The circuit is emitted straight into int64 buffers (8 B per entry,
     # wrapped as arrays without a copy at the end).
-    out_vertices = array("q", [base.src])
+    out_vertices = array("q", [base_src])
     out_eids = array("q")
     emit_vertex, emit_eid = out_vertices.append, out_eids.append
     stack: list = []  # frames: [flat row-major int64 view of a body, pos]
@@ -151,12 +152,12 @@ def reconstruct_circuit(
         fresh = [f for f in fids if f not in consumed]
         for fid in reversed(fresh):
             consumed.add(fid)
-            frag = store.get(fid)
-            push(_rotate_to(store.items_of(fid), frag.src, v))
+            items, src = store.body(fid)
+            push(_rotate_to(items, src, v))
 
     pending_get = pending.get
-    push(store.items_of(base_fid))
-    splice_at(base.src)
+    push(base_items)
+    splice_at(base_src)
     while stack:
         frame = stack[-1]
         body, pos = frame
@@ -171,10 +172,9 @@ def reconstruct_circuit(
             if pending_get(dst) is not None:
                 splice_at(dst)
         else:
-            ref = body[pos + 1]
-            sub = store.items_of(ref)
+            sub, src = store.body(body[pos + 1])
             if not body[pos + 3]:
-                sub = _reverse_items(sub, store.get(ref).src)
+                sub = _reverse_items(sub, src)
             push(sub)
             # The entry vertex was already emitted (it equals the current
             # walk position); the fragment's own items emit the rest.
@@ -207,8 +207,8 @@ def _expand_plain(
     store: FragmentStore, fid: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fully expand one fragment to raw vertices/edges, with no splicing."""
-    frag = store.get(fid)
-    v_parts: list[np.ndarray] = [np.array([frag.src], dtype=np.int64)]
+    items, src = store.body(fid)
+    v_parts: list[np.ndarray] = [np.array([src], dtype=np.int64)]
     e_parts: list[np.ndarray] = []
     stack: list = []  # frames: [items, frag_rows, cursor, pos]
 
@@ -216,7 +216,7 @@ def _expand_plain(
         frag_rows = np.flatnonzero(items[:, 0] == ITEM_FRAG).tolist()
         stack.append([items, frag_rows, 0, 0])
 
-    push(store.items_of(fid))
+    push(items)
     while stack:
         frame = stack[-1]
         items, frag_rows, fi, pos = frame
@@ -233,9 +233,9 @@ def _expand_plain(
             e_parts.append(items[pos:h, 1])
             v_parts.append(items[pos:h, 2])
         _, ref, _dst, forward = items[h].tolist()
-        sub = store.items_of(ref)
+        sub, src = store.body(ref)
         if not forward:
-            sub = _reverse_items(sub, store.get(ref).src)
+            sub = _reverse_items(sub, src)
         push(sub)
     verts = np.concatenate(v_parts)
     eids = (
@@ -259,7 +259,7 @@ def _splice_stranded(
     quadratic in the walk length). Returns the possibly-shorter leftover
     list (non-empty only for disconnected inputs).
     """
-    remaining = sorted(leftovers, key=lambda f: (-store.get(f).level, f))
+    remaining = sorted(leftovers, key=lambda f: (-store.level_of(f), f))
     # Rope nodes: nid -> [verts, eids, inserts {offset -> [child nid, ...]}].
     # Node 0 is the base walk; every other node is a rotated stranded cycle
     # whose verts start and end at its splice vertex.

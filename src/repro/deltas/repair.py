@@ -7,19 +7,20 @@ fragment batch's known coarse-edge weights. A :class:`RepairSession`
 caches those inputs (and the outputs) per ``(pid, level)`` merge-tree
 node from a prior run; on the next run its :class:`RepairProgram`
 intercepts the pipeline's Phase-1 hook, compares the node's actual
-inputs against the cache, and — when they are identical — re-emits the
-cached fragments instead of walking the partition again.
+inputs against the cache, and — when they are identical — installs a copy
+of the cached fragment block instead of walking the partition again.
 
 Why replay is bit-exact rather than merely close:
 
 * Fragment ids are structured (:func:`repro.core.pathmap.make_fid` over
-  ``(level, pid, seq)``) and ``seq`` is append order, so re-emitting the
-  cached fragments through a fresh batch in original order reproduces
-  the *same* fids — pathmaps, coarse tables and the Phase-3 splice all
-  reference fragments by fid and cannot tell a replayed run apart.
+  ``(level, pid, seq)``) and ``seq`` is the row in the run's block, so a
+  copy of the cached block installed into a fresh batch carries the
+  *same* fids by construction — pathmaps, coarse tables and the Phase-3
+  splice all reference fragments by fid and cannot tell a replayed run
+  apart.
 * A graph delta re-keys surviving edges; :meth:`GraphDelta.eid_map` is
   monotonic over survivors, so remapping a cached EdgeTable's
-  ``EDGE_RAW`` refs (and cached fragment items' ``ITEM_EDGE`` refs)
+  ``EDGE_RAW`` refs (and the cached block's ``ITEM_EDGE`` refs)
   lands them exactly where a cold run on the mutated graph would put
   them. A node whose remapped inputs differ from the actuals — a dirty
   partition, or any merge ancestor of one — simply misses the cache and
@@ -58,18 +59,18 @@ class _NodeCache:
     """Cached Phase-1 inputs + outputs for one (pid, level) node."""
 
     __slots__ = ("local_edges", "remote_deg", "known", "pathmap", "stats",
-                 "fragments")
+                 "block")
 
     def __init__(self, local_edges, remote_deg, known, pathmap, stats,
-                 fragments):
+                 block):
         self.local_edges = local_edges
         self.remote_deg = remote_deg
         self.known = known
         self.pathmap = pathmap
         self.stats = stats
-        #: ``(kind, src, dst, items, n_edges)`` tuples in original append
-        #: order — replaying them mints identical fids.
-        self.fragments = fragments
+        #: The session's own copy of the run's fragment block; a replay
+        #: installs a copy of it, so its fids are the cached ones.
+        self.block = block
 
 
 class RepairProgram(SuperstepProgram):
@@ -219,7 +220,7 @@ class RepairSession:
             return dict(self.last_report)
 
     def _remap_cache(self, emap: np.ndarray) -> None:
-        """Re-key cached EdgeTables and fragment items into the new eid
+        """Re-key cached EdgeTables and fragment blocks into the new eid
         space; drop any node that references a deleted edge."""
         for key in list(self.cache):
             entry = self.cache[key]
@@ -230,9 +231,9 @@ class RepairSession:
                 del self.cache[key]
                 continue
             table[raw, 3] = refs
-            for _, _, _, items, _ in entry.fragments:
-                tagged = items[:, 0] == ITEM_EDGE
-                items[tagged, 1] = emap[items[tagged, 1]]
+            items = entry.block.items
+            tagged = items[:, 0] == ITEM_EDGE
+            items[tagged, 1] = emap[items[tagged, 1]]
 
     # -- the Phase-1 hook ----------------------------------------------------
 
@@ -245,14 +246,12 @@ class RepairSession:
                 and np.array_equal(entry.local_edges, local_edges)
                 and np.array_equal(entry.remote_deg, deg_table)
                 and entry.known == batch._known):
-            for kind, src, dst, items, n_edges in entry.fragments:
-                # Copy: the adopted fragment outlives this session's next
-                # advance(), which remaps the cached items in place.
-                batch.new_fragment(kind, level, pid, src, dst, items.copy(),
-                                   n_edges)
+            # Copy: the adopted block outlives this session's next
+            # advance(), which remaps the cached items in place.
+            batch.add_block(entry.block.copy())
             with self._lock:
                 self.hits += 1
-                self.replayed_fragments += len(entry.fragments)
+                self.replayed_fragments += len(entry.block)
             return entry.pathmap, entry.stats
         pathmap, stats = SuperstepProgram._phase1(
             program, pid, level, local_edges, remote_deg, batch
@@ -263,11 +262,7 @@ class RepairSession:
             known=dict(batch._known),
             pathmap=pathmap,
             stats=stats,
-            fragments=[
-                (f.kind, f.src, f.dst,
-                 np.array(f.items, dtype=np.int64, copy=True), f.n_edges)
-                for f in batch.fragments
-            ],
+            block=batch.block.copy(),
         )
         with self._lock:
             self.misses += 1

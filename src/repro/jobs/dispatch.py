@@ -287,19 +287,23 @@ def _serve_spec(spec: dict, flags, slot: int, catalog, graph_cache: dict,
     The token is a :class:`FlagToken` over the slot's shared flag, and
     every counter/histogram increment this process made during the run
     rides home in ``metrics_delta`` (a :func:`~repro.obs.diff_state`
-    delta) for the coordinator to fold into its registry. The diff lives
-    here, not in :func:`_run_spec`: in-process dispatcher threads share
-    one registry, so a diff there would fold one job's increments into
-    another job's spec-out.
+    delta) for the coordinator to fold into its registry. The worker's
+    catalog counts its lookups in the catalog's own registry; that delta
+    rides home as ``catalog_metrics_delta``, for the coordinator's
+    catalog. The diffs live here, not in :func:`_run_spec`: in-process
+    dispatcher threads share one registry, so a diff there would fold one
+    job's increments into another job's spec-out.
     """
-    registry = get_registry()
-    before = registry.state()
+    registries = {"metrics_delta": get_registry(),
+                  "catalog_metrics_delta": catalog.metrics}
+    before = {key: r.state() for key, r in registries.items()}
     token = FlagToken(flags, slot, spec.get("timeout_seconds"),
                       heartbeats=heartbeats)
     out = _run_spec(spec, token, catalog, graph_cache)
-    delta = diff_state(before, registry.state())
-    if delta:
-        out["metrics_delta"] = delta
+    for key, registry in registries.items():
+        delta = diff_state(before[key], registry.state())
+        if delta:
+            out[key] = delta
     return out
 
 

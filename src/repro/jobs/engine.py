@@ -993,8 +993,11 @@ class JobEngine:
         job.passes.extend(out.get("passes", []))
         # Worker-side counter/histogram increments (walk-cache hits, stage
         # latencies) fold into the coordinator's registry, so one scrape
-        # covers the whole dispatch tree regardless of where jobs ran.
+        # covers the whole dispatch tree regardless of where jobs ran; a
+        # worker catalog's lookups fold into this engine's catalog, whose
+        # registry renders repro_catalog_events_total once.
         self.metrics.merge_state(out.get("metrics_delta") or {})
+        self.catalog.metrics.merge_state(out.get("catalog_metrics_delta") or {})
         job.executor = out.get("executor", "") or job.executor
         state = out["state"]
         if state == DONE:

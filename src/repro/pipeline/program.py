@@ -10,13 +10,13 @@ boundaries, exactly like the paper's one-machine-per-partition deployment:
 * a child partition's state crosses to its parent as one pickle
   (:meth:`SuperstepProgram._ship_state`) inside the result's outgoing
   messages, whatever the executor;
-* fragments created during a run go into a :class:`FragmentBatch` with
+* a run's fragments go into a :class:`FragmentBatch` as one block with
   structured, coordination-free ids (:func:`repro.core.pathmap.make_fid`)
   and travel back in ``ComputeResult.payload``;
 * the engine's commit hook (:meth:`SuperstepProgram.make_commit`) adopts
-  each batch into the parent-side :class:`FragmentStore` in pid order, the
-  single mutation point for shared state — so serial, thread and process
-  backends produce bit-identical fragment stores and circuits.
+  each batch's block into the parent-side :class:`FragmentStore` in pid
+  order, the single mutation point for shared state — so serial, thread
+  and process backends produce bit-identical fragment stores and circuits.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class SuperstepProgram:
         arguments (plus the batch's known-edge weights), which is what the
         dynamic-graph repair engine exploits: its program subclass
         intercepts this call, compares the inputs against a cached prior
-        run, and replays the cached fragments when nothing changed.
+        run, and replays the cached block when nothing changed.
         """
         return run_phase1(
             pid, level, local_edges, remote_deg, batch, validate=self.validate
@@ -257,7 +257,7 @@ class SuperstepProgram:
 
     # ---- parent-side commit (the single shared-state mutation point) ------
     def make_commit(self, store: FragmentStore):
-        """Commit hook adopting each superstep's fragment batches in pid order.
+        """Commit hook adopting each superstep's fragment blocks in pid order.
 
         It also drops each level-0 table from this process's program once
         the superstep that read it has committed, so a coordinator whose
@@ -281,8 +281,7 @@ class SuperstepProgram:
             batch = res.payload
             if batch is None:
                 return
-            for frag in batch.fragments:
-                store.adopt(frag)
+            store.adopt(batch)
             if store.spill_dir is not None:
                 store.spill_level(batch.level)
 

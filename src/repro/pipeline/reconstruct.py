@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 
 from ..core.circuit import verify_circuit
-from ..core.pathmap import KIND_CYCLE
 from ..core.phase3 import reconstruct_circuit
 from ..errors import NotEulerianError
 from ..graph.graph import Graph
@@ -25,18 +24,17 @@ class Reconstruct:
     def run(self, graph: Graph, ctx: RunContext) -> None:
         t3 = time.perf_counter()
         store = ctx.store
-        cycles = [f for f in store.all_fragments() if f.kind == KIND_CYCLE]
-        if not cycles:
+        fids, levels = store.cycles()
+        if not fids.size:
             raise NotEulerianError(
                 "no cycle fragments produced (empty partition run?)"
             )
         # Base = the highest-level cycle (the root partition's unified cycle).
         # Note the *partition id* running the final Phase 1 with real content
         # may differ from tree.root when empty partitions pad the tree, so we
-        # key on level (and fid for determinism), not pid.
-        top_level = max(f.level for f in cycles)
-        base_fid = min(f.fid for f in cycles if f.level == top_level)
-        ctx.circuit = reconstruct_circuit(store, [f.fid for f in cycles], base_fid)
+        # key on level (and fid for determinism), not pid. ``fids`` ascend.
+        base_fid = int(fids[levels == levels.max()][0])
+        ctx.circuit = reconstruct_circuit(store, fids, base_fid)
         ctx.phase3_seconds = time.perf_counter() - t3
 
         if ctx.config.verify:

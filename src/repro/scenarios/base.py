@@ -219,7 +219,7 @@ def _sub_config(config: RunConfig, sub: SubProblem, n_subs: int) -> RunConfig:
     spill = config.spill_dir
     if spill is not None and n_subs > 1:
         # Structured fids repeat across sub-runs; give each its own spill
-        # namespace so frag_<fid>.npy files cannot collide.
+        # namespace so block_<key>.npy files cannot collide.
         spill = str(Path(spill) / sub.key)
     return replace(config, n_parts=sub.n_parts, spill_dir=spill)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.circuit import EulerCircuit, check_step_incidence
+from ..core.circuit import EulerCircuit, check_step_incidence, edge_coverage
 from ..errors import DisconnectedGraphError, InvalidCircuitError
 from ..graph.graph import Graph
 from ..graph.properties import n_edge_components, odd_vertices
@@ -92,9 +92,10 @@ def verify_covering_walk(graph: Graph, walk: EulerCircuit) -> None:
     """Check a closed covering walk: every edge >= once, incident, closed."""
     if graph.n_edges == 0:
         return
-    counts = np.bincount(walk.edge_ids, minlength=graph.n_edges)
-    if not bool((counts >= 1).all()):
-        missing = np.flatnonzero(counts == 0)[:8].tolist()
+    seen = edge_coverage(np.asarray(walk.edge_ids, dtype=np.int64),
+                         graph.n_edges)
+    if not seen.all():
+        missing = np.flatnonzero(~seen)[:8].tolist()
         raise InvalidCircuitError(f"covering walk misses edges {missing}")
     check_step_incidence(graph, walk.vertices, walk.edge_ids)
     if not walk.is_closed:

@@ -56,6 +56,44 @@ def test_dedup_placement_halves_rows(fig1):
     assert eids == sorted(np.flatnonzero(~pg.local_mask).tolist())
 
 
+def _reference_rows(pg, dedup):
+    """Placement rows built one cut edge at a time, in eid order."""
+    u, v, part = pg.graph.edge_u, pg.graph.edge_v, pg.part_of
+    cut = np.flatnonzero(~pg.local_mask).tolist()
+    weight = [0] * pg.n_parts
+    for e in cut:
+        weight[part[u[e]]] += 1
+        weight[part[v[e]]] += 1
+    rows = {pid: [] for pid in range(pg.n_parts)}
+    for e in cut:
+        a, b = int(u[e]), int(v[e])
+        pa, pb = int(part[a]), int(part[b])
+        u_side = (a, b, e, pb)
+        v_side = (b, a, e, pa)
+        if not dedup:
+            rows[pa].append(u_side)
+            rows[pb].append(v_side)
+        elif (weight[pa], pa) <= (weight[pb], pb):
+            rows[pa].append(u_side)
+        else:
+            rows[pb].append(v_side)
+    return rows
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_placement_rows_ascend_by_eid_and_match_reference(dedup):
+    g = random_eulerian(300, n_walks=8, walk_len=60, seed=5)
+    pg = partition(g, 8, "ldg")
+    tree = build_merge_tree(build_metagraph(pg))
+    plan = plan_remote_placement(pg, tree, dedup=dedup)
+    reference = _reference_rows(pg, dedup)
+    assert set(plan.rows_for) == set(reference)
+    for pid, rows in plan.rows_for.items():
+        assert rows.dtype == np.int64 and rows.shape[1] == 4
+        assert bool(np.all(np.diff(rows[:, 2]) > 0)), pid
+        assert rows.tolist() == [list(r) for r in reference[pid]], pid
+
+
 def test_merge_levels_match_tree(fig1):
     pg, tree = _setup(fig1)
     plan = plan_remote_placement(pg, tree, dedup=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import signal
 import time
 from pathlib import Path
@@ -24,6 +25,7 @@ from repro.errors import JobCancelledError, JobFailedError
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs import CANCELLED, DONE, FAILED, GraphCatalog, JobEngine
 from repro.jobs.dispatch import FlagToken, ForkedWorkerPool
+from repro.jobs.server import JobApi
 from repro.obs import MetricsRegistry
 from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
@@ -124,6 +126,31 @@ def test_forked_worker_attaches_graph_segment(tmp_path):
         assert load["source"] == "segment"  # zero-copy, not NPZ deserialize
         stats = engine.segment_stats()
         assert stats["segments"] >= 1 and stats["attaches"] >= 1
+
+
+def test_worker_catalog_lookups_count_on_the_engines_catalog(tmp_path):
+    """A forked worker's catalog lookups ride home with its spec-out: two
+    runs of one graph count the worker's two partition-map hits, and
+    /metrics renders the same count per kind as /catalog."""
+    config = RunConfig(n_parts=4, seed=0)
+    with _process_engine(tmp_path, n=1) as engine:
+        for _ in range(2):
+            engine.submit("circuit", graph=grid_city(6, 6),
+                          config=config).result(timeout=120)
+        api = JobApi(engine)
+        _, catalog = api.handle("GET", "/catalog")
+        _, page = api.handle("GET", "/metrics")
+    stats = catalog["stats"]
+    assert (stats["graph_hits"], stats["partition_hits"],
+            stats["partition_misses"]) == (2, 3, 1)
+    rendered = {}
+    for line in page.splitlines():
+        match = re.fullmatch(
+            r'repro_catalog_events_total\{kind="(\w+)"\} (\S+)', line)
+        if match:
+            assert match.group(1) not in rendered  # one series per kind
+            rendered[match.group(1)] = float(match.group(2))
+    assert rendered == {kind: float(n) for kind, n in stats.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ when it goes: the program drops a partition's level-0 entries once their
 last reader has run — in the process that ran it, and at commit in a
 coordinator whose partitions ran elsewhere — a CSR built for Setup does
 not outlive Setup, the pickled program and the remote install frame (what
-process and remote workers install) carry each table once, and a run's
-traced peak stays within a per-edge budget.
+process and remote workers install) carry each table once, a run's traced
+peak and what a finished run retains stay within per-edge budgets, and
+the fragment store holds one block per Phase-1 run with no per-fragment
+object.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import tracemalloc
 
 import numpy as np
 
+from repro.bsp.accounting import CAT_PHASE1
 from repro.bsp.engine import BSPEngine
 from repro.bsp.executors import RemoteExecutor
 from repro.bsp.transport import encode_frame
+from repro.core import pathmap, phase1
 from repro.core.pathmap import FragmentStore
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city
@@ -173,15 +177,55 @@ def test_install_frame_carries_each_table_once(tmp_path):
     assert (sent["bytes_total"], sent["buffer_bytes"]) == (total, buffers)
 
 
-def test_run_peak_stays_within_a_per_edge_budget():
-    """Traced peak of one in-process run on a ~15k-edge R-MAT: about 220
-    bytes per edge with one copy of each table (the duplicated and pinned
-    tables it replaces took ~390)."""
+def _traced_run(monkeypatch):
+    """One in-process run on a ~15k-edge R-MAT under tracemalloc, with the
+    walk-table cache off (an earlier test's sighting of the same topology
+    would otherwise admit tables mid-run): ``(edges, retained, peak)``,
+    ``retained`` read while the run's context is still alive."""
+    monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)
     graph = _fresh(eulerian_rmat(12, avg_degree=8.0, seed=3)[0])
     tracemalloc.start()
     try:
-        run_pipeline(graph, RunConfig(n_parts=8))
-        _, peak = tracemalloc.get_traced_memory()
+        ctx = run_pipeline(graph, RunConfig(n_parts=8))
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 300 * graph.n_edges
+    assert ctx.circuit.n_edges == graph.n_edges
+    return graph.n_edges, retained, peak
+
+
+def test_run_peak_stays_within_a_per_edge_budget(monkeypatch):
+    """Traced peak of one in-process run: ~144 bytes per edge with the
+    fragment store as one block per Phase-1 run and placement built per
+    partition (~165 with an object per fragment and a sorted placement;
+    the duplicated and pinned tables before that took ~390)."""
+    m, _, peak = _traced_run(monkeypatch)
+    assert peak <= 155 * m
+
+
+def test_finished_run_retains_its_blocks_not_per_fragment_objects(monkeypatch):
+    """What a finished run still holds (circuit, store, states, stats):
+    ~61 bytes per edge with one block per Phase-1 run, against ~99 with
+    a Fragment object, a body view and a dict entry per fragment."""
+    m, retained, _ = _traced_run(monkeypatch)
+    assert retained <= 80 * m
+
+
+def test_pipeline_builds_no_fragment_until_a_read_view_asks(monkeypatch):
+    made = []
+    init = pathmap.Fragment.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args[0] if args else kwargs["fid"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathmap.Fragment, "__init__", counting_init)
+    graph = _fresh(eulerian_rmat(11, avg_degree=8.0, seed=3)[0])
+    ctx = run_pipeline(graph, RunConfig(n_parts=8, verify=True))
+    assert ctx.verified and made == []
+    runs = sum(CAT_PHASE1 in rec.timings
+               for step in ctx.run_stats.records for rec in step)
+    assert ctx.store.n_blocks == runs > 0  # one block per Phase-1 run
+    fids, _ = ctx.store.cycles()
+    frag = ctx.store.get(int(fids[0]))
+    assert made == [frag.fid] and frag.kind == "cycle"

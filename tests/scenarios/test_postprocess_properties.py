@@ -135,6 +135,16 @@ def test_postman_overlapping_paths_end_to_end():
     assert bool((counts >= 1).all())
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_covering_walk_rejects_out_of_range_edge_ids(bad):
+    """An id that names no edge fails the check as InvalidCircuitError
+    naming the id, not as an IndexError or ValueError from indexing."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    walk = EulerCircuit(np.array([0, 1, 2, 0, 1]), np.array([0, 1, 2, bad]))
+    with pytest.raises(InvalidCircuitError, match=f"step 3: edge id {bad} "):
+        verify_covering_walk(g, walk)
+
+
 # ---------------------------------------------------------------------------
 # Components: reassembly preserves original ids across all executors
 # ---------------------------------------------------------------------------
