@@ -47,7 +47,6 @@ def main() -> None:
     engine = JobEngine(
         GraphCatalog(root / "catalog"),
         dispatchers=2,
-        pool_kind="thread",
         pool_workers=4,
         artifact_dir=root / "artifacts",
     )

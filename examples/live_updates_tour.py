@@ -55,7 +55,6 @@ def main() -> None:
     engine = JobEngine(
         GraphCatalog(root / "catalog"),
         dispatchers=2,
-        pool_kind="thread",
         pool_workers=2,
         artifact_dir=root / "artifacts",
         journal=root / "journal",

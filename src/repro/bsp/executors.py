@@ -47,15 +47,13 @@ this end-to-end.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from ..errors import BSPError, TransientJobError, UnknownExecutorError
-from . import shm
 from . import transport as transport_mod
 
 from .accounting import PartitionStepRecord
@@ -359,46 +357,8 @@ class RemoteExecutor(_Closable):
 
 
 # ---------------------------------------------------------------------------
-# Shared, persistent pools (job-orchestration substrate)
+# The shared, persistent pool (job-orchestration substrate)
 # ---------------------------------------------------------------------------
-
-# Worker-side cache of superstep programs keyed by session: a shared process
-# pool serves many runs, so each worker unpickles a run's program at most
-# once and reuses it for every later task of that run. Keys are minted per
-# session and never repeat, so a run never sees another run's program (whose
-# level-0 tables that run's own tasks have already popped). Bounded so a
-# very long-lived worker cannot accumulate graphs forever.
-_SHARED_PROGRAMS: dict[str, Callable] = {}
-_SHARED_PROGRAM_CAP = 8
-
-
-class ProgramSegmentGone(RuntimeError):
-    """A worker found its program's shared segment already unlinked.
-
-    Raised across the pool boundary so the parent can replay the superstep
-    with the raw pickled payload — the portable fallback is always correct,
-    the descriptor path is only an optimization.
-    """
-
-
-def _shared_process_task(arg):
-    key, wire, task = arg
-    prog = _SHARED_PROGRAMS.get(key)
-    if prog is None:
-        kind, body = wire
-        if kind == "seg":
-            try:
-                views = shm.attach_arrays(body)
-            except FileNotFoundError:
-                raise ProgramSegmentGone(key) from None
-            prog = pickle.loads(views["payload"])
-            del views  # drops the adopted mapping with the last view
-        else:
-            prog = pickle.loads(body)
-        while len(_SHARED_PROGRAMS) >= _SHARED_PROGRAM_CAP:
-            _SHARED_PROGRAMS.pop(next(iter(_SHARED_PROGRAMS)))
-        _SHARED_PROGRAMS[key] = prog
-    return run_task(prog, task)
 
 
 class _ThreadSession(_Closable):
@@ -413,45 +373,14 @@ class _ThreadSession(_Closable):
         self._compute = compute
 
     def run_superstep(self, tasks: list[SuperstepTask]) -> list:
-        return self._pool._map_thread(self._compute, tasks)
+        return self._pool._map(self._compute, tasks)
 
     def close(self) -> None:  # the pool outlives the run; the owner closes it
         pass
 
 
-class _ProcessSession(_Closable):
-    """One run's executor view over a shared process pool.
-
-    ``start`` pickles the superstep program once and mints a fresh key for
-    this session; every task ships ``(key, payload)`` and workers cache the
-    unpickled program under that key, so a warm worker pays one dict lookup
-    per task instead of a per-run pool spawn plus per-worker initializer
-    pickle. The key is random, not a content hash: a program is stateful
-    (it drops each level-0 table after its last reader), so two identical
-    runs must never share a cached copy. ``close`` unpublishes the
-    program's segment, which no later run would look up.
-    """
-
-    def __init__(self, pool: "SharedPool"):
-        self._pool = pool
-        self.name = pool.name
-        self.max_workers = pool.max_workers
-        self._key = ""
-
-    def start(self, compute: Callable) -> None:
-        self._payload = pickle.dumps(compute, protocol=pickle.HIGHEST_PROTOCOL)
-        self._key = os.urandom(8).hex()
-        self._pool._register_program(self._key, self._payload)
-
-    def run_superstep(self, tasks: list[SuperstepTask]) -> list:
-        return self._pool._map_process(self._key, self._payload, tasks)
-
-    def close(self) -> None:  # the pool outlives the run; the owner closes it
-        self._pool._unregister_program(self._key)
-
-
 class SharedPool(_Closable):
-    """A persistent worker pool multiplexed across many pipeline runs.
+    """A persistent thread pool multiplexed across many pipeline runs.
 
     The per-request execution path builds and tears down a pool inside every
     :func:`~repro.pipeline.run_pipeline` call; a long-lived service instead
@@ -460,30 +389,18 @@ class SharedPool(_Closable):
     ``close()`` leaves the pool running, so the engine's own lifecycle
     management cannot kill the shared workers. Only the owner's
     :meth:`close` (or the context manager) shuts the pool down. Sessions
-    may be used concurrently from multiple dispatcher threads; both
-    stdlib pools are thread-safe.
+    may be used concurrently from multiple dispatcher threads; the stdlib
+    thread pool is thread-safe.
     """
 
-    def __init__(self, kind: str = "thread", max_workers: int = 4):
-        if kind not in ("thread", "process"):
-            raise ValueError(f"unknown pool kind {kind!r}; use 'thread' or 'process'")
+    name = "shared-thread"
+
+    def __init__(self, max_workers: int = 4):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self.kind = kind
         self.max_workers = max_workers
-        self.name = f"shared-{kind}"
-        # Program payloads published once into shared memory so each task
-        # ships a tiny (segment, offset, shape, dtype) descriptor instead of
-        # the full pickled program. Lazily created on first registration;
-        # bounded LRU — an evicted program transparently falls back to the
-        # raw-payload wire (see ProgramSegmentGone).
-        self._segstore: shm.SharedSegmentStore | None = None
-        self._prog_order: list[str] = []
-        self._seg_lock = threading.Lock()
-        if kind == "thread":
-            self._pool: Any = ThreadPoolExecutor(max_workers=max_workers)
-        else:
-            self._pool = ProcessPoolExecutor(max_workers=max_workers)
+        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
+            max_workers=max_workers)
 
     @property
     def closed(self) -> bool:
@@ -493,91 +410,17 @@ class SharedPool(_Closable):
         """A fresh executor-protocol adapter bound to this pool."""
         if self._pool is None:
             raise RuntimeError("SharedPool is closed")
-        return _ThreadSession(self) if self.kind == "thread" else _ProcessSession(self)
+        return _ThreadSession(self)
 
-    def _map_thread(self, compute: Callable, tasks: list[SuperstepTask]) -> list:
+    def _map(self, compute: Callable, tasks: list[SuperstepTask]) -> list:
         if self._pool is None:
             raise RuntimeError("SharedPool is closed")
         return list(self._pool.map(lambda t: run_task(compute, t), tasks))
-
-    def _register_program(self, key: str, payload: bytes) -> None:
-        """Publish a program payload to shared memory (LRU, cap 8).
-
-        No-op for thread pools or when POSIX shared memory is unavailable —
-        the raw-payload wire stays fully functional without it.
-        """
-        if self.kind != "process" or not shm.shm_available():
-            return
-        with self._seg_lock:
-            if self._segstore is None:
-                self._segstore = shm.SharedSegmentStore(tag="prog")
-            if key in self._segstore:
-                self._prog_order.remove(key)
-                self._prog_order.append(key)
-                return
-            self._segstore.publish_bytes(key, payload)
-            self._prog_order.append(key)
-            while len(self._prog_order) > _SHARED_PROGRAM_CAP:
-                self._segstore.unpublish(self._prog_order.pop(0))
-
-    def _unregister_program(self, key: str) -> None:
-        """Unpublish a finished run's program segment (no-op if evicted)."""
-        with self._seg_lock:
-            if key in self._prog_order:
-                self._prog_order.remove(key)
-                self._segstore.unpublish(key)
-
-    def _program_wire(self, key: str, payload: bytes):
-        """Per-superstep wire for a program: segment descriptor or raw bytes.
-
-        Resolved fresh each superstep so a program evicted mid-job degrades
-        to the raw payload instead of a dead descriptor.
-        """
-        with self._seg_lock:
-            if self._segstore is not None and key in self._segstore:
-                return ("seg", self._segstore.descriptor(key))
-        return ("raw", payload)
-
-    def _map_process(self, key: str, payload: bytes, tasks: list[SuperstepTask]) -> list:
-        if self._pool is None:
-            raise RuntimeError("SharedPool is closed")
-        wire = self._program_wire(key, payload)
-        futures = [self._pool.submit(_shared_process_task, (key, wire, t))
-                   for t in tasks]
-        try:
-            results = []
-            for fut, task in zip(futures, tasks):
-                try:
-                    results.append(fut.result())
-                except ProgramSegmentGone:
-                    # Evicted between resolve and attach: replay this task
-                    # alone on the raw wire. Tasks that did run must not run
-                    # twice — a program drops each level-0 table after its
-                    # last reader.
-                    replay = self._pool.submit(
-                        _shared_process_task, (key, ("raw", payload), task))
-                    results.append(replay.result())
-            return results
-        finally:
-            for pending in futures:  # no-op for finished ones
-                pending.cancel()
-
-    def segment_stats(self) -> dict:
-        """Program segment-store stats (zeros when the store is idle)."""
-        with self._seg_lock:
-            if self._segstore is None:
-                return {"segments": 0, "bytes": 0, "attaches": 0}
-            return self._segstore.stats()
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        with self._seg_lock:
-            if self._segstore is not None:
-                self._segstore.close()
-                self._segstore = None
-                self._prog_order.clear()
 
 
 #: Registry of executor backends selectable by name from

@@ -1,17 +1,16 @@
 """Shared-memory data plane: keyed segments, cancel flags and heartbeats.
 
-The pre-forked serving dispatchers and the shared process pool need the
-same primitive: hand a block of packed ``int64`` arrays to another process
-*without* serializing it through a pipe. POSIX shared memory
-(:mod:`multiprocessing.shared_memory`) provides exactly that — a named
-segment both sides map — and this module wraps it with the protocols
-those callers use:
+The pre-forked serving dispatchers need one primitive: hand a block of
+packed ``int64`` arrays to another process *without* serializing it
+through a pipe. POSIX shared memory (:mod:`multiprocessing.shared_memory`)
+provides exactly that — a named segment both sides map — and this module
+wraps it with the protocols those dispatchers use:
 
 ``SharedSegmentStore``
-    A keyed, refcount-audited publisher of long-lived segments: catalog
-    graph arrays and shared-pool program payloads. Publish is idempotent
-    per key; descriptors are ``(segment_name, offset, shape, dtype)``
-    tuples a worker turns back into arrays with :func:`attach_arrays`.
+    A keyed, refcount-audited publisher of long-lived segments: the
+    catalog's graph arrays. Publish is idempotent per key; descriptors are
+    ``(segment_name, offset, shape, dtype)`` tuples a worker turns back
+    into arrays with :func:`attach_arrays`.
 
 ``CancelFlags`` / ``HeartbeatSlots``
     Tiny ``int64`` arrays for the pre-forked dispatchers — the parent sets
@@ -280,7 +279,7 @@ def sweep_stale_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     """Janitor: unlink ``repro_`` segments whose creating process is dead.
 
     A SIGKILL'd server (or worker host) cannot run its cleanup handlers,
-    so its catalog/program/flag segments stay in ``/dev/shm`` forever.
+    so its catalog, flag and heartbeat segments stay in ``/dev/shm`` forever.
     This sweep — run at serve start — removes exactly those: segments
     whose embedded creator pid (:func:`segment_creator_pid`, baked into
     every segment name at creation) no longer runs. Liveness is judged by
@@ -303,7 +302,7 @@ def sweep_stale_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Keyed long-lived segments: catalog graphs, shared-pool program payloads
+# Keyed long-lived segments: catalog graphs
 # ---------------------------------------------------------------------------
 
 
@@ -379,10 +378,6 @@ class SharedSegmentStore:
                 "shm": shm, "descriptor": descriptor, "nbytes": total,
             }
             return dict(descriptor)
-
-    def publish_bytes(self, key: str, payload: bytes) -> dict:
-        """Publish one opaque byte payload (e.g. a pickled program)."""
-        return self.publish(key, {"payload": np.frombuffer(payload, np.uint8)})
 
     def descriptor(self, key: str) -> dict | None:
         """The key's descriptor (counted as one attach), or ``None``."""

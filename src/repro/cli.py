@@ -138,10 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp.add_argument("name", choices=sorted(_EXPERIMENTS))
 
+    # No prefix matching on serve and batch: ``--pool`` must not parse as
+    # ``--pool-workers``.
     serve = sub.add_parser(
         "serve", help="run the long-lived job server (graph catalog + "
                       "shared-pool scheduler, JSON HTTP API; GET /metrics "
-                      "serves Prometheus text)")
+                      "serves Prometheus text)", allow_abbrev=False)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642)
     serve.add_argument("--cache-root", default=".graph_catalog",
@@ -181,11 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--timeout", type=float, default=None,
                        help="default per-job run deadline in seconds "
                             "(jobs may override via timeout_seconds)")
-    serve.add_argument("--pool", default="thread",
-                       choices=("thread", "process", "none"),
-                       help="shared executor pool kind (none: each run "
-                            "builds its own backend)")
-    serve.add_argument("--pool-workers", type=int, default=4)
+    serve.add_argument("--pool-workers", type=int, default=4,
+                       help="threads in the shared superstep pool of thread "
+                            "mode (0: no pool; each job builds the backend "
+                            "its config names)")
     serve.add_argument("--journal-dir", default=None,
                        help="crash-safe job journal directory (default: "
                             "<cache-root>/journal; 'none' disables — "
@@ -288,22 +289,37 @@ def build_parser() -> argparse.ArgumentParser:
     add_server_arg(watch)
 
     batch = sub.add_parser(
-        "batch", help="run a JSONL job file locally and write a run-table CSV")
+        "batch", help="run a JSONL job file locally and write a run-table CSV",
+        allow_abbrev=False)
     batch.add_argument("jobs_file", help="one JSON job spec per line")
     batch.add_argument("--report", default="run_table.csv",
                        help="CSV report path (one row per job)")
     batch.add_argument("--cache-root", default=".graph_catalog")
     batch.add_argument("--artifact-dir", default=None)
-    batch.add_argument("--dispatchers", type=int, default=2)
-    batch.add_argument("--pool", default="thread",
-                       choices=("thread", "process", "none"))
-    batch.add_argument("--pool-workers", type=int, default=4)
+    batch.add_argument("--dispatchers", type=int, default=2,
+                       help="concurrent jobs (dispatcher threads)")
+    batch.add_argument("--pool-workers", type=int, default=4,
+                       help="threads in the shared superstep pool (0: no "
+                            "pool; each job builds the backend its config "
+                            "names)")
     return p
+
+
+def _check_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject job-engine settings it would refuse, as a usage error."""
+    if getattr(args, "dispatchers", 1) < 1:
+        parser.error("--dispatchers must be >= 1")
+    if getattr(args, "pool_workers", 0) < 0:
+        parser.error("--pool-workers must be >= 0")
+    if getattr(args, "dispatcher", None) == "remote" and not args.hosts:
+        parser.error("--dispatcher remote requires --hosts")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_args(parser, args)
     if args.command == "generate":
         g, info = eulerian_rmat(args.scale, avg_degree=args.avg_degree, seed=args.seed)
         save_edge_list(g, args.output)
@@ -418,7 +434,6 @@ def _jobs_main(args) -> int:
             GraphCatalog(args.cache_root, size_budget_bytes=budget),
             dispatchers=args.dispatchers,
             dispatcher=args.dispatcher,
-            pool_kind=None if args.pool == "none" else args.pool,
             pool_workers=args.pool_workers,
             artifact_dir=artifact_dir,
             keep_results=args.keep_results,
@@ -443,7 +458,6 @@ def _jobs_main(args) -> int:
         engine = JobEngine(
             GraphCatalog(args.cache_root),
             dispatchers=args.dispatchers,
-            pool_kind=None if args.pool == "none" else args.pool,
             pool_workers=args.pool_workers,
             artifact_dir=args.artifact_dir,
         )

@@ -5,7 +5,7 @@ things the per-request path rebuilt on every call:
 
 * the **graph catalog** — so a job's graph and its partition map load from
   cache instead of being re-parsed and re-partitioned;
-* one **shared executor pool** (:class:`~repro.bsp.executors.SharedPool`) —
+* one **shared thread pool** (:class:`~repro.bsp.executors.SharedPool`) —
   handed to every pipeline run through ``RunConfig.pool``, so supersteps
   execute on persistent workers instead of a per-run pool;
 * the **dispatcher threads** — each pops the highest-priority job, turns
@@ -132,7 +132,7 @@ class JobEngine:
         each thread drives its own worker through a pipe — jobs then run
         on separate cores, with graphs attached from shared memory and
         cancellation delivered through a shared flag array. In process
-        mode no pool is injected (``pool_kind`` is ignored): each worker
+        mode no pool is injected (``pool_workers`` is ignored): each worker
         picks its backend from the job's own config. ``"remote"`` is the
         coordinator mode: jobs dispatch over the registered ``hosts``
         (:class:`~repro.jobs.remote.RemoteHostPool`) with content-hash
@@ -149,9 +149,11 @@ class JobEngine:
         the coordinator tries it again.
     pool:
         An externally-owned :class:`SharedPool`, or ``None`` to have the
-        engine build (and own) one from ``pool_kind``/``pool_workers``.
-        ``pool_kind=None`` disables pool injection (each run picks its own
-        backend from its config — the cold per-request behavior).
+        engine build (and own) one of ``pool_workers`` threads.
+    pool_workers:
+        Threads in the engine's own shared pool. ``0`` builds none: each
+        run picks its own backend from its config (the cold per-request
+        behavior).
     artifact_dir:
         Where per-job durable artifact JSONs are written (``None`` disables
         them).
@@ -205,7 +207,6 @@ class JobEngine:
         dispatchers: int = 2,
         dispatcher: str = "thread",
         pool: SharedPool | None = None,
-        pool_kind: str | None = "thread",
         pool_workers: int = 4,
         artifact_dir: str | Path | None = None,
         keep_results: int | None = None,
@@ -231,6 +232,8 @@ class JobEngine:
                 f"unknown dispatcher {dispatcher!r}; "
                 "use 'thread', 'process' or 'remote'"
             )
+        if pool_workers < 0:
+            raise ValueError("pool_workers must be >= 0")
         if keep_results is not None and keep_results < 0:
             raise ValueError("keep_results must be >= 0 or None")
         if default_max_retries < 0:
@@ -253,9 +256,9 @@ class JobEngine:
         self._owns_pool = False
         self.pool = None
         if dispatcher == "thread":
-            self._owns_pool = pool is None and pool_kind is not None
+            self._owns_pool = pool is None and pool_workers > 0
             self.pool = pool if pool is not None else (
-                SharedPool(pool_kind, pool_workers) if pool_kind is not None else None
+                SharedPool(pool_workers) if pool_workers > 0 else None
             )
         #: Thread mode's dispatcher, and every mode's fallback while its
         #: pool's circuit is open.
@@ -1206,12 +1209,8 @@ class JobEngine:
         self.catalog.close_shared()
 
     def segment_stats(self) -> dict:
-        """Combined shared-segment stats (catalog + pool program store)."""
-        stats = self.catalog.segment_stats()
-        if self.pool is not None and hasattr(self.pool, "segment_stats"):
-            for k, v in self.pool.segment_stats().items():
-                stats[k] = stats.get(k, 0) + v
-        return stats
+        """Shared-segment stats: the catalog's graph shares."""
+        return self.catalog.segment_stats()
 
     def supervisor_stats(self) -> dict:
         """Fault-tolerance counters for ``/healthz`` (shared assembly)."""

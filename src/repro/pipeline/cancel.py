@@ -17,7 +17,7 @@ state with the partial pass history persisted. The token is thread-safe
 and deliberately never crosses a process boundary: all checks run in the
 submitting process (the BSP superstep loop and the scenario layer), so
 cancellation works identically under the serial, thread and process
-backends and both shared pools.
+backends and the shared thread pool.
 """
 
 from __future__ import annotations

@@ -117,18 +117,17 @@ def test_census_identical_across_backends(graphs, remote_hosts):
     )
 
 
-@pytest.mark.parametrize("kind", ["thread", "process"])
-def test_shared_pool_repeated_runs_match_serial(graphs, kind):
+@pytest.mark.parametrize("workers", [pytest.param(3, id="thread")])
+def test_shared_pool_repeated_runs_match_serial(graphs, workers):
     """Three identical runs on one shared pool each equal a serial run.
 
-    The direct pin for per-run program keys: a process worker caches the
-    program of the run it serves, and a program drops its level-0 tables
-    as it runs, so a later identical run must never reuse that copy.
+    A program drops its level-0 tables as it runs, so each run must get
+    its own program: a later identical run may never read an emptied one.
     """
     g = graphs["grid"]
     before = set(shm.leaked_segments())
     ref = find_euler_circuit(g, n_parts=4, seed=0, executor="serial")
-    with SharedPool(kind, max_workers=3) as pool:
+    with SharedPool(max_workers=workers) as pool:
         for _ in range(3):
             ctx = run_pipeline(g, RunConfig(n_parts=4, seed=0, pool=pool))
             np.testing.assert_array_equal(
@@ -138,11 +137,6 @@ def test_shared_pool_repeated_runs_match_serial(graphs, kind):
                 ref.circuit.edge_ids, ctx.circuit.edge_ids
             )
             assert _fragment_census(ref.store) == _fragment_census(ctx.store)
-        if kind == "process" and shm.shm_available():
-            # The program payload went to workers through a segment.
-            assert pool.segment_stats()["attaches"] >= 1
-    # Pool close releases the program-payload segments with it.
-    assert pool.segment_stats() == {"segments": 0, "bytes": 0, "attaches": 0}
     assert sorted(set(shm.leaked_segments()) - before) == []
 
 

@@ -1,8 +1,8 @@
 """Unit tests for the shared-memory data plane (:mod:`repro.bsp.shm`).
 
 Every test is leak-audited: whatever segments it creates must be gone from
-``/dev/shm`` by the end (the module-level fixture diffs against the
-pre-existing set, so concurrent runs on a shared box don't false-positive).
+``/dev/shm`` by the end (the suite-wide ``_no_shm_leaks`` fixture in
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -15,14 +15,6 @@ from repro.bsp import shm
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(), reason="POSIX shared memory not available"
 )
-
-
-@pytest.fixture(autouse=True)
-def no_new_segments():
-    before = set(shm.leaked_segments())
-    yield
-    leaked = sorted(set(shm.leaked_segments()) - before)
-    assert leaked == [], f"test leaked shm segments: {leaked}"
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +49,12 @@ def test_segment_store_publish_attach_unpublish():
 def test_segment_store_close_unlinks_everything():
     store = shm.SharedSegmentStore(tag="tst")
     store.publish("a", {"x": np.ones(32)})
-    store.publish_bytes("b", b"raw payload bytes")
+    store.publish("b", {"y": np.arange(8, dtype=np.uint8)})
     names = [store.descriptor(k)["segment"] for k in ("a", "b")]
     store.close()
     for name in names:
         assert name not in shm.leaked_segments()
     store.close()  # idempotent
-
-
-def test_publish_bytes_roundtrip():
-    with shm.SharedSegmentStore(tag="tst") as store:
-        payload = b"\x00" + b"program payload" * 100
-        store.publish_bytes("p", payload)
-        views = shm.attach_arrays(store.descriptor("p"))
-        assert bytes(views["payload"].view(np.uint8).tobytes()) == payload
 
 
 # ---------------------------------------------------------------------------

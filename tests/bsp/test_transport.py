@@ -15,17 +15,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bsp import shm
 from repro.bsp import transport as tr
 from repro.obs import MetricsRegistry
-
-
-@pytest.fixture(autouse=True)
-def no_new_segments():
-    before = set(shm.leaked_segments())
-    yield
-    leaked = sorted(set(shm.leaked_segments()) - before)
-    assert leaked == [], f"test leaked shm segments: {leaked}"
 
 
 def _payload():

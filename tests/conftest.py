@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bsp import shm
 from repro.generate.synthetic import (
     grid_city,
     paper_figure1_graph,
@@ -12,6 +13,24 @@ from repro.generate.synthetic import (
     ring_of_cliques,
 )
 from repro.graph.graph import Graph
+
+
+@pytest.fixture(autouse=True)
+def _no_shm_leaks():
+    """Every test is audited for leaked ``/dev/shm/repro_*`` segments.
+
+    The serving stack (catalog graph shares, cancel flags, heartbeats)
+    promises that no segment outlives its owner. The audit diffs against
+    whatever pre-existed, so unrelated processes on the box cannot
+    false-positive it.
+    """
+    if not shm.shm_available():
+        yield
+        return
+    before = set(shm.leaked_segments())
+    yield
+    leaked = sorted(set(shm.leaked_segments()) - before)
+    assert leaked == [], f"test leaked shm segments: {leaked}"
 
 
 @pytest.fixture

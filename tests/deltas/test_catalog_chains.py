@@ -165,7 +165,7 @@ def _chain(cat, g0, n):
 def test_a_watched_graph_keeps_only_its_root_and_head_in_memory(tmp_path):
     g = superposed_cycles(60, seed=5)
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind="thread", pool_workers=1) as eng:
+                   pool_workers=1) as eng:
         cat = eng.catalog
         k0 = cat.put(g, name="base")
         w = eng.add_watch(k0)

@@ -23,7 +23,6 @@ from tests.deltas.util import detour_delta, superposed_cycles
 
 def _engine(tmp_path, **kw):
     kw.setdefault("dispatchers", 2)
-    kw.setdefault("pool_kind", "thread")
     kw.setdefault("pool_workers", 2)
     return JobEngine(GraphCatalog(tmp_path / "cat"),
                      artifact_dir=tmp_path / "art",

@@ -107,11 +107,11 @@ def test_every_dispatcher_serves_the_uncompacted_document(tmp_path):
     pool."""
     docs = {}
     with JobEngine(GraphCatalog(tmp_path / "thread"), dispatchers=1,
-                   pool_kind=None) as engine:
+                   pool_workers=0) as engine:
         local = _run_all(engine)
     docs["thread"] = {n: job_to_dict(j) for n, j in local.items()}
     with JobEngine(GraphCatalog(tmp_path / "pooled"), dispatchers=1,
-                   pool_kind="thread", pool_workers=2) as engine:
+                   pool_workers=2) as engine:
         docs["pooled"] = {n: job_to_dict(j)
                           for n, j in _run_all(engine).items()}
     with JobEngine(GraphCatalog(tmp_path / "forked"), dispatchers=1,

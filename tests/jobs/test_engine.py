@@ -20,6 +20,7 @@ from repro.generate.eulerize import largest_component, open_path_variant
 from repro.generate.rmat import rmat_graph
 from repro.generate.synthetic import disjoint_union, grid_city, random_eulerian
 from repro.jobs import CANCELLED, DONE, FAILED, GraphCatalog, JobEngine
+from repro.jobs.server import JobApi
 from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
 from repro.scenarios.base import Scenario, SubProblem, register_scenario
@@ -45,30 +46,27 @@ def assert_same_result(serial, engine_result):
     assert serial.metrics == engine_result.metrics
 
 
-# One configuration per executor backend, plus the two shared-pool kinds
-# (the process pool is the expensive one; keep its job count small).
+# One configuration per executor backend (no shared pool), plus the
+# engine's shared thread pool; the first field is ``pool_workers``.
 BACKEND_CONFIGS = [
-    pytest.param(None, {"executor": "serial"}, id="serial"),
-    pytest.param(None, {"executor": "thread", "workers": 2}, id="thread"),
-    pytest.param(None, {"executor": "process", "workers": 2}, id="process"),
-    pytest.param(("thread", 4), {}, id="shared-thread-pool"),
-    pytest.param(("process", 2), {}, id="shared-process-pool"),
+    pytest.param(0, {"executor": "serial"}, id="serial"),
+    pytest.param(0, {"executor": "thread", "workers": 2}, id="thread"),
+    pytest.param(0, {"executor": "process", "workers": 2}, id="process"),
+    pytest.param(4, {}, id="shared-thread-pool"),
 ]
 
 
-@pytest.mark.parametrize("pool_spec,cfg_kwargs", BACKEND_CONFIGS)
-def test_concurrent_jobs_match_serial_runs(tmp_path, pool_spec, cfg_kwargs):
+@pytest.mark.parametrize("pool_workers,cfg_kwargs", BACKEND_CONFIGS)
+def test_concurrent_jobs_match_serial_runs(tmp_path, pool_workers, cfg_kwargs):
     config = RunConfig(n_parts=4, seed=0, verify=True, **cfg_kwargs)
     workloads = scenario_workloads()
     serial = {
         name: run_scenario(g, name, config) for name, g in workloads
     }
-    pool_kind, pool_workers = pool_spec if pool_spec else (None, 0)
     with JobEngine(
         GraphCatalog(tmp_path / "cat"),
         dispatchers=3,
-        pool_kind=pool_kind,
-        pool_workers=pool_workers or 1,
+        pool_workers=pool_workers,
     ) as engine:
         handles = [
             (name, engine.submit(name, graph=g, config=config))
@@ -92,7 +90,7 @@ def test_property_concurrent_circuit_parity(tmp_path_factory, seed, n_parts):
     serial = run_scenario(g, "circuit", config)
     root = tmp_path_factory.mktemp("jobs-prop")
     with JobEngine(
-        GraphCatalog(root), dispatchers=2, pool_kind="thread", pool_workers=2,
+        GraphCatalog(root), dispatchers=2, pool_workers=2,
     ) as engine:
         handles = [engine.submit("circuit", graph=g, config=config)
                    for _ in range(3)]
@@ -258,7 +256,7 @@ def test_queued_jobs_pin_graphs_against_eviction(tmp_path, grid8):
 
 def test_job_records_actual_executor(tmp_path, grid8):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind="thread", pool_workers=2) as engine:
+                   pool_workers=2) as engine:
         h = engine.submit("circuit", graph=grid8, config=RunConfig(n_parts=4))
         h.result(timeout=60)
         job = engine.job(h.job_id)
@@ -266,8 +264,28 @@ def test_job_records_actual_executor(tmp_path, grid8):
     assert job.summary()["executor"] == "shared-thread"
 
 
+def test_pool_workers_zero_runs_each_job_on_its_own_backend(tmp_path, grid8):
+    """``pool_workers=0`` builds no shared pool: a job runs on the backend
+    its config names, and ``/healthz`` reports no pool."""
+    with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
+                   pool_workers=0) as engine:
+        assert engine.pool is None
+        config = RunConfig(n_parts=4, executor="thread", workers=2)
+        h = engine.submit("circuit", graph=grid8, config=config)
+        h.result(timeout=60)
+        job = engine.job(h.job_id)
+        status, health = JobApi(engine).handle("GET", "/healthz")
+    assert job.executor == "thread"
+    assert status == 200 and health["dispatch"]["pool"] is None
+
+
+def test_negative_pool_workers_rejected(tmp_path):
+    with pytest.raises(ValueError, match="pool_workers"):
+        JobEngine(tmp_path / "cat", pool_workers=-1)
+
+
 def test_externally_owned_pool_survives_engine(tmp_path, grid8):
-    with SharedPool("thread", 2) as pool:
+    with SharedPool(2) as pool:
         with JobEngine(GraphCatalog(tmp_path / "a"), dispatchers=1,
                        pool=pool) as engine:
             engine.submit("circuit", graph=grid8,

@@ -30,7 +30,7 @@ from repro.scenarios.base import SCENARIOS, Scenario, register_scenario
 
 def _engine(root, journal, **kwargs):
     kwargs.setdefault("dispatchers", 1)
-    kwargs.setdefault("pool_kind", None)
+    kwargs.setdefault("pool_workers", 0)
     return JobEngine(GraphCatalog(root / "cat"), journal=journal, **kwargs)
 
 

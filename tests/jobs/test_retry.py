@@ -43,7 +43,6 @@ needs_shm = pytest.mark.skipif(
 
 def _thread_engine(tmp_path, **kwargs) -> JobEngine:
     kwargs.setdefault("dispatchers", 1)
-    kwargs.setdefault("pool_kind", "thread")
     kwargs.setdefault("pool_workers", 2)
     return JobEngine(GraphCatalog(tmp_path / "cat"),
                      metrics=MetricsRegistry(), **kwargs)
@@ -327,7 +326,7 @@ def test_client_retries_connection_errors_then_gives_up():
 
 def test_client_honors_retry_after_on_503(tmp_path):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None)
+                       pool_workers=0)
     server = make_server(engine, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -353,7 +352,7 @@ def test_client_honors_retry_after_on_503(tmp_path):
 
 def test_client_without_budget_raises_immediately(tmp_path):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None)
+                       pool_workers=0)
     server = make_server(engine, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -76,7 +76,7 @@ def test_registry_soak_holds_o_retention_jobs(tmp_path, triangle):
     retention = 4
     n_jobs = 50 * retention
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=2,
-                   pool_kind=None, artifact_dir=tmp_path / "arts",
+                   pool_workers=0, artifact_dir=tmp_path / "arts",
                    keep_results=2, retention=retention) as engine:
         handles = [engine.submit("circuit", graph=triangle,
                                  config=RunConfig(n_parts=2))
@@ -137,7 +137,7 @@ def test_pop_survives_evicted_stale_heap_entries():
 
 def test_evicted_job_summary_names_its_artifact(tmp_path, triangle):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind=None, artifact_dir=tmp_path / "arts",
+                   pool_workers=0, artifact_dir=tmp_path / "arts",
                    retention=1) as engine:
         first = engine.submit("circuit", graph=triangle,
                               config=RunConfig(n_parts=2))
@@ -170,7 +170,7 @@ def test_queue_full_raises_typed_error():
 
 def test_rejected_submission_releases_the_graph_pin(tmp_path, triangle):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind=None, max_queued=1) as engine:
+                   pool_workers=0, max_queued=1) as engine:
         blocker = _Blocking()
         register_scenario(blocker)
         try:
@@ -195,21 +195,20 @@ def test_rejected_submission_releases_the_graph_pin(tmp_path, triangle):
 # -- cancellation parity across backends ------------------------------------
 
 
+# The first field is the engine's ``pool_workers`` (0: no shared pool).
 BACKEND_CONFIGS = [
-    pytest.param(None, {"executor": "serial"}, id="serial"),
-    pytest.param(None, {"executor": "thread", "workers": 2}, id="thread"),
-    pytest.param(None, {"executor": "process", "workers": 2}, id="process"),
-    pytest.param(("thread", 2), {}, id="shared-thread-pool"),
-    pytest.param(("process", 2), {}, id="shared-process-pool"),
+    pytest.param(0, {"executor": "serial"}, id="serial"),
+    pytest.param(0, {"executor": "thread", "workers": 2}, id="thread"),
+    pytest.param(0, {"executor": "process", "workers": 2}, id="process"),
+    pytest.param(2, {}, id="shared-thread-pool"),
 ]
 
 
-@pytest.mark.parametrize("pool_spec,cfg_kwargs", BACKEND_CONFIGS)
+@pytest.mark.parametrize("pool_workers,cfg_kwargs", BACKEND_CONFIGS)
 def test_cancel_running_job_mid_scenario(tmp_path, grid8, blocker,
-                                         pool_spec, cfg_kwargs):
-    pool_kind, pool_workers = pool_spec if pool_spec else (None, 1)
+                                         pool_workers, cfg_kwargs):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind=pool_kind, pool_workers=pool_workers,
+                   pool_workers=pool_workers,
                    artifact_dir=tmp_path / "arts") as engine:
         h = engine.submit("test-hold", graph=grid8,
                           config=RunConfig(n_parts=4, **cfg_kwargs))
@@ -234,7 +233,7 @@ def test_cancel_running_job_mid_scenario(tmp_path, grid8, blocker,
 
 def test_timeout_seconds_fails_job_at_next_safe_point(tmp_path, grid8, blocker):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind=None, artifact_dir=tmp_path / "arts") as engine:
+                   pool_workers=0, artifact_dir=tmp_path / "arts") as engine:
         h = engine.submit("test-hold", graph=grid8,
                           config=RunConfig(n_parts=4), timeout_seconds=0.05)
         assert blocker.entered.wait(30)
@@ -251,7 +250,7 @@ def test_timeout_seconds_fails_job_at_next_safe_point(tmp_path, grid8, blocker):
 
 def test_default_timeout_applies_when_submit_omits_it(tmp_path, triangle):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind=None, default_timeout=600.0) as engine:
+                   pool_workers=0, default_timeout=600.0) as engine:
         h = engine.submit("circuit", graph=triangle,
                           config=RunConfig(n_parts=2))
         h.result(timeout=60)  # a generous default deadline changes nothing
@@ -263,7 +262,7 @@ def test_default_timeout_applies_when_submit_omits_it(tmp_path, triangle):
 
 def test_trimmed_result_reloads_from_artifact(tmp_path, triangle):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind=None, keep_results=0,
+                   pool_workers=0, keep_results=0,
                    artifact_dir=tmp_path / "arts") as engine:
         h = engine.submit("circuit", graph=triangle,
                           config=RunConfig(n_parts=2))
@@ -276,7 +275,7 @@ def test_trimmed_result_reloads_from_artifact(tmp_path, triangle):
 
 def test_trimmed_result_without_artifact_raises_typed_error(tmp_path, triangle):
     with JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                   pool_kind=None, keep_results=0) as engine:  # no artifact_dir
+                   pool_workers=0, keep_results=0) as engine:  # no artifact_dir
         h = engine.submit("circuit", graph=triangle,
                           config=RunConfig(n_parts=2))
         h.wait(60)
@@ -297,7 +296,7 @@ def _serve(engine):
 
 def test_http_429_on_full_queue(tmp_path, blocker):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None, max_queued=1)
+                       pool_workers=0, max_queued=1)
     server, client = _serve(engine)
     try:
         up = client.put_graph(edges=[[0, 1], [1, 2], [2, 0]])
@@ -324,7 +323,7 @@ def test_http_429_on_full_queue(tmp_path, blocker):
 
 def test_http_delete_cancels_running_job(tmp_path, blocker):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None, artifact_dir=tmp_path / "arts")
+                       pool_workers=0, artifact_dir=tmp_path / "arts")
     server, client = _serve(engine)
     try:
         up = client.put_graph(edges=[[0, 1], [1, 2], [2, 0]])
@@ -347,7 +346,7 @@ def test_http_delete_cancels_running_job(tmp_path, blocker):
 
 def test_http_evicted_job_status_and_result_still_served(tmp_path, triangle):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None, retention=2, keep_results=1,
+                       pool_workers=0, retention=2, keep_results=1,
                        artifact_dir=tmp_path / "arts")
     server, client = _serve(engine)
     try:
@@ -397,7 +396,7 @@ def test_status_turns_terminal_only_when_the_queue_commits(tmp_path, triangle):
 
     journal.append = held_append
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None, retention=1, journal=journal,
+                       pool_workers=0, retention=1, journal=journal,
                        artifact_dir=tmp_path / "arts")
     try:
         handle = engine.submit("circuit", graph=triangle,
@@ -420,7 +419,7 @@ def test_status_turns_terminal_only_when_the_queue_commits(tmp_path, triangle):
 
 def test_http_410_when_result_evicted_and_no_artifact(tmp_path):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None, keep_results=0)  # no artifact_dir
+                       pool_workers=0, keep_results=0)  # no artifact_dir
     server, client = _serve(engine)
     try:
         up = client.put_graph(edges=[[0, 1], [1, 2], [2, 0]])
@@ -439,7 +438,7 @@ def test_http_410_when_result_evicted_and_no_artifact(tmp_path):
 
 def test_http_priority_clamped_at_the_wire(tmp_path, triangle):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None)
+                       pool_workers=0)
     server, client = _serve(engine)
     try:
         up = client.put_graph(edges=[[0, 1], [1, 2], [2, 0]])
@@ -459,7 +458,7 @@ def test_http_priority_clamped_at_the_wire(tmp_path, triangle):
 
 def test_http_timeout_seconds_over_the_wire(tmp_path, blocker):
     engine = JobEngine(GraphCatalog(tmp_path / "cat"), dispatchers=1,
-                       pool_kind=None)
+                       pool_workers=0)
     server, client = _serve(engine)
     try:
         up = client.put_graph(edges=[[0, 1], [1, 2], [2, 0]])

@@ -25,10 +25,10 @@ def test_parser_subcommands():
 
 def test_parser_job_subcommands():
     p = build_parser()
-    args = p.parse_args(["serve", "--port", "9000", "--pool", "process",
+    args = p.parse_args(["serve", "--port", "9000", "--pool-workers", "0",
                          "--cache-budget-mb", "64"])
     assert args.command == "serve" and args.port == 9000
-    assert args.pool == "process" and args.cache_budget_mb == 64
+    assert args.pool_workers == 0 and args.cache_budget_mb == 64
     args = p.parse_args(["submit", "g.el", "--scenario", "postman",
                          "--priority", "2", "--wait"])
     assert args.command == "submit" and args.scenario == "postman"
@@ -40,6 +40,28 @@ def test_parser_job_subcommands():
     args = p.parse_args(["batch", "jobs.jsonl", "--report", "rt.csv",
                          "--dispatchers", "3"])
     assert args.jobs_file == "jobs.jsonl" and args.dispatchers == 3
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["serve", "--dispatchers", "0"], "--dispatchers must be >= 1"),
+    (["serve", "--pool-workers", "-1"], "--pool-workers must be >= 0"),
+    (["serve", "--dispatcher", "remote"], "--dispatcher remote requires --hosts"),
+    (["batch", "jobs.jsonl", "--dispatchers", "0"], "--dispatchers must be >= 1"),
+    (["serve", "--pool", "process"], "unrecognized arguments: --pool process"),
+    (["batch", "jobs.jsonl", "--pool", "0"], "unrecognized arguments: --pool 0"),
+], ids=["serve-dispatchers-0", "serve-pool-workers-negative",
+        "serve-remote-without-hosts", "batch-dispatchers-0", "serve-pool",
+        "batch-pool-is-no-prefix"])
+def test_bad_engine_settings_are_usage_errors(tmp_path, capsys, argv, message):
+    """A setting the job engine would refuse exits 2 with one usage line,
+    before any catalog, engine or socket exists."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-root", str(tmp_path / "cat")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {message}" in err
+    assert not (tmp_path / "cat").exists()
 
 
 def test_cli_batch_end_to_end(tmp_path, capsys):
