@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("thread", "process", "remote"),
                        help="job dispatch mode: in-process threads, one "
                             "pre-forked worker process per dispatcher "
-                            "(zero-copy shared-memory graphs, true "
+                            "(graphs read through the catalog's mmap, true "
                             "multi-core), or a coordinator scheduling over "
                             "remote worker hosts (--hosts)")
     serve.add_argument("--hosts", default=None,

@@ -152,13 +152,13 @@ class QueueFullError(JobError):
 class TransientJobError(JobError):
     """A job failure attributable to infrastructure, not the job itself.
 
-    Killed or hung dispatcher workers, shared-memory attach failures on a
-    swept segment, and broken executor pools all land here: re-running the
-    same job on healthy infrastructure is expected to succeed, so the
-    engine re-dispatches transient failures (up to ``Job.max_retries``,
-    with exponential backoff) instead of failing the job outright. Every
-    other exception is treated as permanent — retrying a graph that is not
-    Eulerian cannot ever help.
+    Killed or hung dispatcher workers, dead worker hosts and broken
+    executor pools all land here: re-running the same job on healthy
+    infrastructure is expected to succeed, so the engine re-dispatches
+    transient failures (up to ``Job.max_retries``, with exponential
+    backoff) instead of failing the job outright. Every other exception is
+    treated as permanent — retrying a graph that is not Eulerian cannot
+    ever help.
     """
 
 

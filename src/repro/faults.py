@@ -24,9 +24,6 @@ Fault kinds
 ``slow``
     Sleep ``delay`` seconds at superstep ``at`` — drives hang detection
     and deadline tests without touching the data plane.
-``shm_attach``
-    Make the next shared-memory graph attach raise ``FileNotFoundError``
-    — exercises the catalog-NPZ fallback in the forked workers.
 ``delta_apply``
     Make the next catalog delta application raise
     :class:`~repro.errors.FaultInjectedError` — exercises the mutation
@@ -73,8 +70,7 @@ from .errors import FaultInjectedError
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
 
 #: Every fault kind the harness can inject.
-FAULT_KINDS = ("worker_kill", "fail", "slow", "shm_attach", "host_kill",
-               "delta_apply")
+FAULT_KINDS = ("worker_kill", "fail", "slow", "host_kill", "delta_apply")
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,9 @@ class FaultSpec:
     """One armed fault: what fires, where, and on which attempts."""
 
     kind: str
-    #: Superstep index the fault fires at (``worker_kill``/``fail``/``slow``;
-    #: ignored by ``shm_attach``). ``0`` is the first superstep boundary.
+    #: Superstep index the fault fires at (``worker_kill``/``fail``/``slow``/
+    #: ``host_kill``; ignored by ``delta_apply``). ``0`` is the first
+    #: superstep boundary.
     at: int = 0
     #: Fire only while the job's attempt index is below this (so retries
     #: run clean by default).
@@ -175,15 +172,6 @@ class FaultPlan:
                 self._kill(k)
             elif spec.kind == "host_kill":
                 self._kill(k, host=True)
-
-    def shm_attach(self) -> None:
-        """Fire a pending ``shm_attach`` fault (consume it, then raise)."""
-        for spec in self.specs:
-            if spec.kind == "shm_attach":
-                self.specs = tuple(s for s in self.specs if s is not spec)
-                raise FileNotFoundError(
-                    "injected shared-memory attach failure"
-                )
 
     def delta_apply(self) -> None:
         """Fire a pending ``delta_apply`` fault (consume it, then raise)."""

@@ -7,12 +7,14 @@ per request. The catalog amortizes it:
 * **Graphs** are keyed by a content hash (:func:`graph_key`) and persisted
   as *uncompressed* NPZ under ``<root>/graphs/``, so repeat loads
   memory-map the edge arrays (``load_npz(..., mmap=True)``) instead of
-  re-parsing text or copying buffers. Loaded graphs are additionally kept
-  in an in-process table, so the steady-state hit is a dict lookup. That
-  table (with the derived-artifact tables below) holds only what the
-  process reads again: roots, and a delta version while it is pinned or
-  has no child. A superseded version leaves memory (and shared memory)
-  and a later :meth:`GraphCatalog.get` rebuilds it through its chain.
+  re-parsing text or copying buffers. The mapped pages live in the page
+  cache, so every process reading one root — the engine and its forked
+  dispatcher workers — shares one copy of a graph. Loaded graphs are
+  additionally kept in an in-process table, so the steady-state hit is a
+  dict lookup. That table (with the derived-artifact tables below) holds
+  only what the process reads again: roots, and a delta version while it
+  is pinned or has no child. A superseded version leaves memory and a
+  later :meth:`GraphCatalog.get` rebuilds it through its chain.
 * **Derived artifacts** are cached per graph hash under
   ``<root>/derived/<key>/``: partition maps keyed by ``(partitioner,
   n_parts, seed)`` and postman eulerization plans. Entries carry the full
@@ -52,7 +54,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..bsp import shm
 from ..graph.graph import Graph
 from ..graph.io import atomic_write, load_npz, save_npz
 from ..obs import MetricsRegistry
@@ -140,10 +141,6 @@ class GraphCatalog:
         #: that job freed pages, so the unlink is deferred until the last
         #: reference dies (see :meth:`_evict`).
         self._live: dict[str, "weakref.ref[Graph]"] = {}
-        #: Lazily-created shared-memory publisher of edge arrays
-        #: (:meth:`share`), letting forked dispatcher workers attach
-        #: instead of re-reading the NPZ.
-        self._segstore: shm.SharedSegmentStore | None = None
         (self.root / "graphs").mkdir(parents=True, exist_ok=True)
         (self.root / "derived").mkdir(parents=True, exist_ok=True)
         (self.root / "deltas").mkdir(parents=True, exist_ok=True)
@@ -180,9 +177,16 @@ class GraphCatalog:
         graphs the parent cataloged later exist on disk but not in the
         worker's index. Called on a key miss, this picks them up without
         any cross-process locking — the index file is written atomically.
+        A version the merge shows superseded stops being :meth:`_hot` and
+        leaves memory, as it does in the catalog that mutated it.
         """
         with self._lock:
             self._index.update(self._load_index())
+            held = (set(self._graphs) | set(self._plans)
+                    | {ck[0] for ck in self._partitions})
+            for key in held:
+                if not self._hot(key):
+                    self._forget(key)
 
     def _touch(self, key: str) -> None:
         self._index[key]["last_used"] = time.time()
@@ -231,6 +235,11 @@ class GraphCatalog:
             self._evict_to_budget(protect=key)
             self._save_index()
         return key
+
+    def resident(self, key: str) -> bool:
+        """Whether :meth:`get` would answer ``key`` from memory."""
+        with self._lock:
+            return key in self._graphs
 
     def get(self, key: str) -> Graph:
         """Load a cataloged graph (memory table, then mmap from disk).
@@ -293,17 +302,16 @@ class GraphCatalog:
             self._graphs.setdefault(key, graph)
 
     def _forget(self, key: str) -> None:
-        """Drop ``key`` from memory and shared memory (disk is untouched).
+        """Drop ``key`` from memory (disk is untouched).
 
         Besides eviction, runs when a version stops being :meth:`_hot`:
-        when it gains a child and when its last pin is released.
+        when it gains a child (here, or on disk as :meth:`refresh` finds)
+        and when its last pin is released.
         """
         self._graphs.pop(key, None)
         self._plans.pop(key, None)
         for ck in [c for c in self._partitions if c[0] == key]:
             self._partitions.pop(ck)
-        if self._segstore is not None:
-            self._segstore.unpublish(key)
 
     def export_bytes(self, key: str) -> bytes:
         """The raw NPZ bytes of a cataloged graph (for host provisioning).
@@ -667,48 +675,6 @@ class GraphCatalog:
         if scenario == "postman":
             derived["eulerize_plan"] = self.eulerize_plan(key)
         return derived
-
-    # -- shared-memory publication ------------------------------------------
-
-    def share(self, key: str) -> dict | None:
-        """Publish ``key``'s edge arrays to shared memory; the descriptor.
-
-        Idempotent per key. Forked dispatcher workers rebuild the graph
-        zero-copy from the attached views
-        (:func:`repro.bsp.shm.attach_arrays` +
-        :meth:`~repro.graph.graph.Graph.from_arrays`). Returns ``None``
-        when POSIX shared memory is unavailable — callers fall back to the
-        NPZ path.
-        """
-        if not shm.shm_available():
-            return None
-        with self._lock:
-            meta = self._index.get(key)
-            if meta is None:
-                raise KeyError(f"unknown graph key {key!r}")
-            if self._segstore is None:
-                self._segstore = shm.SharedSegmentStore(tag="cat")
-            if key not in self._segstore:
-                g = self.get(key)
-                self._segstore.publish(
-                    key, {"edge_u": g.edge_u, "edge_v": g.edge_v}
-                )
-            descriptor = self._segstore.descriptor(key)
-            return {"n_vertices": int(meta["n_vertices"]), **descriptor}
-
-    def segment_stats(self) -> dict:
-        """Shared-segment publication stats (zeros before first share)."""
-        with self._lock:
-            if self._segstore is None:
-                return {"segments": 0, "bytes": 0, "attaches": 0}
-            return self._segstore.stats()
-
-    def close_shared(self) -> None:
-        """Unlink every published segment (idempotent; engine close calls)."""
-        with self._lock:
-            if self._segstore is not None:
-                self._segstore.close()
-                self._segstore = None
 
     # -- eviction ----------------------------------------------------------
 

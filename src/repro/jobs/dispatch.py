@@ -2,10 +2,9 @@
 
 :func:`_run_spec` is the only code that runs a job. It takes a *spec* (a
 plain dict: scenario, graph key, the job's ``RunConfig`` with no
-process-local state, the run-time budget, the trace id and an optional
-shared-memory graph descriptor) and returns a *spec-out* (the terminal
-state, the compacted result or a typed failure, and the pass history the
-engine replays into the job record). :class:`~repro.jobs.engine.JobEngine`
+process-local state, the run-time budget and the trace id) and returns a
+*spec-out* (the terminal state, the compacted result or a typed failure,
+and the pass history the engine replays into the job record). :class:`~repro.jobs.engine.JobEngine`
 builds the spec, hands it to its dispatcher and lands whatever comes back
 in one place, so retries, unpinning and result trimming happen once for
 every mode.
@@ -26,18 +25,22 @@ and the reason the engine bypasses it while its circuit is open,
 * :class:`~repro.jobs.remote.RemoteHostPool` (remote mode) sends it to a
   worker host over a socket.
 
-What crosses a pipe or socket stays small: the graph rides down as the
-catalog's shared-memory *graph descriptor*
-(:meth:`~repro.jobs.catalog.GraphCatalog.share`), which workers attach
-zero-copy (the catalog NPZ is the fallback), and a DONE spec-out carries
-the compacted result (:meth:`~repro.scenarios.base.ScenarioResult.compact`).
+What crosses a pipe or socket stays small: the spec names the graph by
+its catalog key, and every runner loads it with
+:meth:`~repro.jobs.catalog.GraphCatalog.get` — a lazy mmap of the
+catalog's uncompressed NPZ, whose page-cache pages every process reading
+that root shares — and a DONE spec-out carries the compacted result
+(:meth:`~repro.scenarios.base.ScenarioResult.compact`).
 
-Cancellation crosses the fork through a :class:`~repro.bsp.shm.CancelFlags`
-array with one ``int64`` flag per worker slot. The parent sets slot ``i``
-to cancel the job running in worker ``i``; the worker's :class:`FlagToken`
-— a :class:`~repro.pipeline.cancel.CancelToken` whose flag is that slot —
+Cancellation crosses the fork through a :class:`~repro.bsp.shm.WorkerSlots`
+mapping, created before the first fork, with one ``int64`` flag per
+worker slot. The parent sets slot ``i`` to cancel the job running in
+worker ``i``; the worker's :class:`FlagToken` — a
+:class:`~repro.pipeline.cancel.CancelToken` whose flag is that slot —
 polls it (and its deadline) at every superstep and sub-run boundary. An
-explicit cancel still wins over a simultaneously-expired deadline.
+explicit cancel still wins over a simultaneously-expired deadline. A
+forked worker's token also fires once the worker is re-parented: an
+orphan stops at its next safe point and exits.
 
 Supervision (the fault-tolerance layer):
 
@@ -45,10 +48,10 @@ Supervision (the fault-tolerance layer):
   detected by the liveness poll in :meth:`ForkedWorkerPool.run_job`,
   respawned, and the job surfaces as a typed
   :class:`~repro.errors.TransientJobError` the engine may retry;
-* **hangs** — workers stamp a shared :class:`~repro.bsp.shm.HeartbeatSlots`
-  entry at every cancel-token poll (superstep/sub-run boundaries); with a
-  ``hang_timeout`` armed, a stale stamp gets the worker SIGKILL'd and
-  respawned — a wedged superstep can no longer pin a dispatcher forever;
+* **hangs** — workers stamp their slot's heartbeat at every cancel-token
+  poll (superstep/sub-run boundaries); with a ``hang_timeout`` armed, a
+  stale stamp gets the worker SIGKILL'd and respawned — a wedged
+  superstep can no longer pin a dispatcher forever;
 * **respawn budget + circuit breaker** — respawns are counted per rolling
   window; past the budget the pool's circuit opens for a cooldown and the
   engine degrades those jobs to in-process execution instead of feeding a
@@ -66,7 +69,6 @@ from dataclasses import replace
 
 from ..bsp import shm
 from ..errors import RunCancelledError, TransientJobError
-from ..graph.graph import Graph
 from ..obs import SpanRecorder, diff_state, get_registry, use_registry, use_trace
 from ..pipeline.cancel import CancelToken
 from .supervise import RollingBreaker, SupervisedPool
@@ -94,24 +96,27 @@ def _describe(exc: BaseException) -> str:
 
 
 class FlagToken(CancelToken):
-    """Worker-side cancel token over one shared-memory flag slot.
+    """Worker-side cancel token over one :class:`~repro.bsp.shm.WorkerSlots`
+    slot.
 
     A :class:`~repro.pipeline.cancel.CancelToken` whose cancel flag is also
-    slot ``slot`` of a shared :class:`~repro.bsp.shm.CancelFlags` array, so
-    the parent process can stop the job; the deadline and the rule that an
-    explicit cancel beats it are inherited. Every poll also stamps the
-    worker's heartbeat slot — the cancel checks run at superstep and
-    sub-run boundaries, which is exactly the "still making progress"
-    signal hang detection needs, for free. Pickles to an **inert** token
-    (no flags, no heartbeat, no deadline): a revived flag reference would
-    be meaningless in another process.
+    slot ``slot`` of ``slots``, so the parent process can stop the job; the
+    deadline and the rule that an explicit cancel beats it are inherited.
+    Every poll also stamps the slot's heartbeat — the cancel checks run at
+    superstep and sub-run boundaries, which is exactly the "still making
+    progress" signal hang detection needs, for free. With ``parent`` (a
+    pid), the token also reads as cancelled once ``os.getppid()`` differs
+    from it: a forked worker whose engine died stops at its next safe
+    point. Pickles to an **inert** token (no slots, no parent, no
+    deadline): a revived slot reference would be meaningless in another
+    process.
     """
 
-    def __init__(self, flags, slot: int, timeout_seconds: float | None = None,
-                 heartbeats=None):
-        self._flags = flags
+    def __init__(self, slots, slot: int, timeout_seconds: float | None = None,
+                 parent: int | None = None):
+        self._slots = slots
         self._slot = slot
-        self._heartbeats = heartbeats
+        self._parent = parent
         super().__init__(timeout_seconds)
 
     def arm(self) -> None:
@@ -119,15 +124,16 @@ class FlagToken(CancelToken):
         self.beat()
 
     def beat(self) -> None:
-        """Stamp this worker's heartbeat slot (no-op without one)."""
-        if self._heartbeats is not None:
-            self._heartbeats.beat(self._slot)
+        """Stamp this worker's heartbeat slot (no-op without slots)."""
+        if self._slots is not None:
+            self._slots.beat(self._slot)
 
     @property
     def cancelled(self) -> bool:
         self.beat()
-        return super().cancelled or (
-            self._flags is not None and self._flags.is_set(self._slot))
+        return (super().cancelled
+                or (self._slots is not None and self._slots.is_set(self._slot))
+                or (self._parent is not None and os.getppid() != self._parent))
 
     def __getstate__(self):
         return {"timeout_seconds": self.timeout_seconds}
@@ -153,25 +159,7 @@ def _scrub_result(result) -> None:
         sub.context.config = _strip_config(sub.context.config)
 
 
-def _share_graph(catalog, job) -> dict | None:
-    """Publish the job's graph to shared memory (a ``share_graph`` pass);
-    the descriptor a worker attaches, ``None`` without shm."""
-    t0 = time.perf_counter()
-    descriptor = catalog.share(job.graph_key)
-    job.record_pass("share_graph", time.perf_counter() - t0,
-                    graph_key=job.graph_key, shared=descriptor is not None)
-    return descriptor
-
-
-def _attach_graph(descriptor: dict):
-    """Descriptor → zero-copy Graph over the attached segment views."""
-    views = shm.attach_arrays(descriptor)
-    return Graph.from_arrays(
-        descriptor["n_vertices"], views["edge_u"], views["edge_v"], check=False
-    )
-
-
-def _run_spec(spec: dict, token, catalog, graph_cache: dict) -> dict:
+def _run_spec(spec: dict, token, catalog) -> dict:
     """Execute one job spec; always returns a terminal-state spec-out.
 
     The only code that runs a job, on every dispatcher. ``token`` is the
@@ -181,8 +169,8 @@ def _run_spec(spec: dict, token, catalog, graph_cache: dict) -> dict:
     crosses a pipe or socket is about the size of the walks.
 
     Failure spec-outs carry ``transient`` (:func:`_is_transient`): ``True``
-    marks infrastructure failures (injected faults, shm trouble, broken
-    pipes) the engine may retry; job errors (bad graph, bad config) stay
+    marks infrastructure failures (injected faults, broken pipes) the
+    engine may retry; job errors (bad graph, bad config) stay
     permanent.
 
     Pass rows are :attr:`~repro.jobs.queue.Job.passes` rows already
@@ -192,7 +180,7 @@ def _run_spec(spec: dict, token, catalog, graph_cache: dict) -> dict:
     """
     recorder = SpanRecorder()
     with use_trace(spec.get("trace_id") or None), recorder:
-        out = _run_spec_inner(spec, token, catalog, graph_cache)
+        out = _run_spec_inner(spec, token, catalog)
     for span in recorder.spans:
         out["passes"].append({"pass": "stage:" + span.pop("stage"),
                               "seconds": span.pop("wall"), **span})
@@ -205,7 +193,7 @@ def _run_spec(spec: dict, token, catalog, graph_cache: dict) -> dict:
     return out
 
 
-def _run_spec_inner(spec: dict, token, catalog, graph_cache: dict) -> dict:
+def _run_spec_inner(spec: dict, token, catalog) -> dict:
     from ..scenarios.base import run_scenario
 
     passes: list[dict] = []
@@ -218,27 +206,10 @@ def _run_spec_inner(spec: dict, token, catalog, graph_cache: dict) -> dict:
             catalog.refresh()  # cataloged after this worker forked
 
         config = spec["config"]
-        faults = config.faults
 
         t0 = time.perf_counter()
-        graph = graph_cache.get(key)
-        source = "cache"
-        if graph is None:
-            descriptor = spec.get("graph_descriptor")
-            if descriptor is not None:
-                try:
-                    if faults:
-                        faults.shm_attach()
-                    graph = _attach_graph(descriptor)
-                    source = "segment"
-                except FileNotFoundError:
-                    graph = None
-            if graph is None:
-                graph = catalog.get(key)
-                source = "npz"
-            while len(graph_cache) >= 4:
-                graph_cache.pop(next(iter(graph_cache)))
-            graph_cache[key] = graph
+        source = "cache" if catalog.resident(key) else "npz"
+        graph = catalog.get(key)
         passes.append({"pass": "load_graph",
                        "seconds": time.perf_counter() - t0,
                        "graph_key": key, "source": source})
@@ -280,11 +251,12 @@ def _run_spec_inner(spec: dict, token, catalog, graph_cache: dict) -> dict:
                 "transient": _is_transient(exc)}
 
 
-def _serve_spec(spec: dict, flags, slot: int, catalog, graph_cache: dict,
-                heartbeats=None) -> dict:
+def _serve_spec(spec: dict, slots, slot: int, catalog,
+                parent: int | None = None) -> dict:
     """:func:`_run_spec` in a forked worker or on a worker host.
 
-    The token is a :class:`FlagToken` over the slot's shared flag, and
+    The token is a :class:`FlagToken` over ``slots[slot]`` (and, in a
+    forked worker, the ``parent`` pid it must not outlive), and
     every counter/histogram increment this process made during the run
     rides home in ``metrics_delta`` (a :func:`~repro.obs.diff_state`
     delta) for the coordinator to fold into its registry. The worker's
@@ -297,9 +269,8 @@ def _serve_spec(spec: dict, flags, slot: int, catalog, graph_cache: dict,
     registries = {"metrics_delta": get_registry(),
                   "catalog_metrics_delta": catalog.metrics}
     before = {key: r.state() for key, r in registries.items()}
-    token = FlagToken(flags, slot, spec.get("timeout_seconds"),
-                      heartbeats=heartbeats)
-    out = _run_spec(spec, token, catalog, graph_cache)
+    token = FlagToken(slots, slot, spec.get("timeout_seconds"), parent)
+    out = _run_spec(spec, token, catalog)
     for key, registry in registries.items():
         delta = diff_state(before[key], registry.state())
         if delta:
@@ -311,16 +282,14 @@ class InProcessDispatcher:
     """Runs a job on the dispatcher thread itself.
 
     Thread mode's dispatcher, and every mode's fallback while its pool's
-    circuit is open. It differs from the worker pools in four ways:
+    circuit is open. It differs from the worker pools in three ways:
 
     * the token is the job's own :class:`CancelToken`, armed here so the
       deadline budgets run time, not queue time;
     * the engine's shared pool is injected (unless the job names its own)
       and ``config.repair`` is kept, so watch emissions repair;
     * it computes no registry diff: increments land directly in the
-      engine's registry, which every dispatcher thread shares;
-    * it publishes no shm segment and keeps no graph cache beyond the
-      catalog's own.
+      engine's registry, which every dispatcher thread shares.
     """
 
     failure_pass = "error"
@@ -340,8 +309,7 @@ class InProcessDispatcher:
         if token is not None:
             token.arm()
         with use_registry(self.metrics):
-            return _run_spec(dict(spec, config=config), token, self.catalog,
-                             {})
+            return _run_spec(dict(spec, config=config), token, self.catalog)
 
     def cancel(self, job_id: str) -> None:
         """Nothing to steer: the engine cancels the job's own token."""
@@ -353,24 +321,24 @@ class InProcessDispatcher:
         """Nothing to release: the engine owns the pool."""
 
 
-def _worker_main(conn, slot: int, catalog_root: str, flags_descriptor: dict,
-                 heartbeat_descriptor: dict | None = None):
-    """Forked worker loop: recv spec → run → send result, until sentinel."""
+def _worker_main(conn, slot: int, catalog_root: str, slots):
+    """Forked worker loop: recv spec → run → send result, until sentinel.
+
+    ``slots`` is the pool's :class:`~repro.bsp.shm.WorkerSlots`, inherited
+    through the fork.
+    """
     from .catalog import GraphCatalog
 
     # Mark this process as a dispatcher worker so an injected
     # ``worker_kill`` fault dies for real (SIGKILL) instead of raising —
     # the whole point is exercising unclean worker death.
     os.environ["REPRO_FAULT_WORKER"] = str(os.getpid())
-    flags = shm.CancelFlags.attach(flags_descriptor)
-    heartbeats = (shm.HeartbeatSlots.attach(heartbeat_descriptor)
-                  if heartbeat_descriptor is not None else None)
     catalog = GraphCatalog(catalog_root)
-    graph_cache: dict = {}
     # The fork copies the parent's stack, so this process holds write ends
     # of its own (and earlier siblings') pipes — recv() would never EOF
     # after a parent kill -9. Poll the ppid instead: re-parented means the
-    # engine is gone and this worker must not outlive it.
+    # engine is gone and this worker must not outlive it, between jobs
+    # (here) or mid-job (the token's next poll).
     parent = os.getppid()
     try:
         while True:
@@ -384,17 +352,14 @@ def _worker_main(conn, slot: int, catalog_root: str, flags_descriptor: dict,
                 return
             if spec is None:
                 return
-            conn.send(_serve_spec(spec, flags, slot, catalog, graph_cache,
-                                  heartbeats=heartbeats))
+            conn.send(_serve_spec(spec, slots, slot, catalog, parent))
     finally:
-        flags.close()
-        if heartbeats is not None:
-            heartbeats.close()
         conn.close()
 
 
 class ForkedWorkerPool(SupervisedPool):
-    """N pre-forked job workers, one pipe, cancel flag and heartbeat each.
+    """N pre-forked job workers, one pipe and one slot (a cancel flag and
+    a heartbeat, :class:`~repro.bsp.shm.WorkerSlots`) each.
 
     Created before the engine's dispatcher threads so the initial fork is
     single-threaded. Dispatcher thread ``slot`` drives worker ``slot``.
@@ -410,8 +375,8 @@ class ForkedWorkerPool(SupervisedPool):
     ----------
     catalog:
         The engine's :class:`~repro.jobs.catalog.GraphCatalog`. The parent
-        persists each job's derived artifacts and shares its graph through
-        it; each worker opens its own catalog over the same root.
+        persists each job's derived artifacts through it; each worker
+        opens its own catalog over the same root and reads graphs from it.
     hang_timeout:
         Seconds of heartbeat silence (no superstep/sub-run boundary
         reached) after which a worker is declared hung and SIGKILL'd.
@@ -431,15 +396,10 @@ class ForkedWorkerPool(SupervisedPool):
                  metrics=None):
         if n < 1:
             raise ValueError("worker count must be >= 1")
-        if not shm.shm_available():
-            raise RuntimeError(
-                "process dispatchers need POSIX shared memory for cancel flags"
-            )
         self.n = n
         self.catalog = catalog
         self._ctx = multiprocessing.get_context("fork")
-        self.flags = shm.CancelFlags.create(n)
-        self.heartbeats = shm.HeartbeatSlots.create(n)
+        self.slots = shm.WorkerSlots(n)
         self._init_supervision("forked", hang_timeout=hang_timeout,
                                metrics=metrics)
         self._breaker = RollingBreaker(respawn_budget, respawn_window,
@@ -447,8 +407,8 @@ class ForkedWorkerPool(SupervisedPool):
                                        failures=self._m_respawns)
         #: job id → worker slot for running jobs — how :meth:`cancel`
         #: finds the flag to raise.
-        self._slots: dict[str, int] = {}
-        self._slots_lock = threading.Lock()
+        self._running: dict[str, int] = {}
+        self._running_lock = threading.Lock()
         self._workers: list = [None] * n
         self._closed = False
         for slot in range(n):
@@ -459,8 +419,7 @@ class ForkedWorkerPool(SupervisedPool):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, slot, str(self.catalog.root),
-                  self.flags.descriptor, self.heartbeats.descriptor),
+            args=(child_conn, slot, str(self.catalog.root), self.slots),
             name=f"job-worker-{slot}",
             daemon=True,
         )
@@ -509,28 +468,27 @@ class ForkedWorkerPool(SupervisedPool):
         """
         if self._closed:
             raise RuntimeError("ForkedWorkerPool is closed")
-        self.flags.clear(slot)
-        with self._slots_lock:
-            self._slots[job.id] = slot
+        self.slots.clear(slot)
+        with self._running_lock:
+            self._running[job.id] = slot
         try:
             token = job.cancel_token
             if token is not None and token.cancelled:
                 # A cancel that landed before the slot was registered found
                 # no flag to raise; raise it now so the worker stops at its
                 # first checkpoint.
-                self.flags.set(slot)
+                self.slots.set(slot)
             t0 = time.perf_counter()
             # Compute (and persist) the derived artifacts parent-side; the
             # worker re-reads them as a disk-cache hit instead of receiving
             # the arrays through the pipe.
             self.catalog.derived_for(job.graph_key, job.config, job.scenario)
             job.record_pass("persist_derived", time.perf_counter() - t0)
-            spec["graph_descriptor"] = _share_graph(self.catalog, job)
             return self._exchange(slot, spec)
         finally:
-            with self._slots_lock:
-                self._slots.pop(job.id, None)
-            self.flags.clear(slot)
+            with self._running_lock:
+                self._running.pop(job.id, None)
+            self.slots.clear(slot)
 
     def _exchange(self, slot: int, spec: dict) -> dict:
         """Send ``spec`` down ``slot``'s pipe and wait for the spec-out,
@@ -538,14 +496,14 @@ class ForkedWorkerPool(SupervisedPool):
         proc, conn = self._workers[slot]
         # Baseline the heartbeat at dispatch: hang age counts from *now*
         # even if the worker never reaches its first token poll.
-        self.heartbeats.beat(slot)
+        self.slots.beat(slot)
         try:
             conn.send(spec)
             while not conn.poll(0.2):
                 if not proc.is_alive() and not conn.poll(0):
                     raise EOFError
                 if self.hang_timeout is not None:
-                    age = self.heartbeats.age_seconds(slot)
+                    age = self.slots.age_seconds(slot)
                     if age is not None and age > self.hang_timeout:
                         self._m_hung.inc()
                         self._respawn_after_failure(slot)
@@ -566,13 +524,13 @@ class ForkedWorkerPool(SupervisedPool):
     def cancel(self, job_id: str) -> None:
         """Signal ``job_id``'s worker, if it is running (polled at safe
         points)."""
-        with self._slots_lock:
-            slot = self._slots.get(job_id)
+        with self._running_lock:
+            slot = self._running.get(job_id)
         if slot is not None:
-            self.flags.set(slot)
+            self.slots.set(slot)
 
     def close(self) -> None:
-        """Stop every worker (sentinel, then terminate) and free the flags."""
+        """Stop every worker (sentinel, then terminate)."""
         if self._closed:
             return
         self._closed = True
@@ -594,5 +552,3 @@ class ForkedWorkerPool(SupervisedPool):
                 proc.join(timeout=2.0)
             conn.close()
         self._workers = [None] * self.n
-        self.flags.close()
-        self.heartbeats.close()

@@ -42,7 +42,7 @@ Fault tolerance (the crash-safety layer on top):
   artifacts and re-enqueues whatever a crash interrupted, so ``kill -9``
   loses zero acknowledged submissions;
 * **retries** — transient failures (:class:`~repro.errors.TransientJobError`:
-  killed/hung workers, broken pools, shm attach trouble) re-dispatch with
+  killed/hung workers, dead hosts, broken pipes) re-dispatch with
   exponential backoff and deterministic jitter, up to the job's
   ``max_retries``; permanent job errors never retry;
 * **supervision** — the forked worker pool heartbeats, hang-kills and
@@ -75,7 +75,6 @@ from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
-from ..bsp import shm
 from ..bsp import transport as frame
 from ..bsp.executors import SharedPool
 from ..deltas import GraphDelta, RepairSession
@@ -130,8 +129,9 @@ class JobEngine:
         shared pool; ``"process"`` pre-forks one worker process per
         dispatcher (:class:`~repro.jobs.dispatch.ForkedWorkerPool`) and
         each thread drives its own worker through a pipe — jobs then run
-        on separate cores, with graphs attached from shared memory and
-        cancellation delivered through a shared flag array. In process
+        on separate cores, reading graphs through the catalog's mmap'd
+        NPZ files, with cancellation delivered through a fork-shared flag
+        per worker (:class:`~repro.bsp.shm.WorkerSlots`). In process
         mode no pool is injected (``pool_workers`` is ignored): each worker
         picks its backend from the job's own config. ``"remote"`` is the
         coordinator mode: jobs dispatch over the registered ``hosts``
@@ -244,12 +244,6 @@ class JobEngine:
         self.metrics = metrics if metrics is not None else get_registry()
         self.catalog = (
             catalog if isinstance(catalog, GraphCatalog) else GraphCatalog(catalog)
-        )
-        # Startup janitor: segments named by a previous, now-dead process
-        # (a crashed server's cancel flags, heartbeats, graph shares) are
-        # unreachable garbage — sweep them before creating our own.
-        self.swept_segments: list[str] = (
-            shm.sweep_stale_segments() if shm.shm_available() else []
         )
         self.dispatcher = dispatcher
         self.dispatchers = dispatchers
@@ -986,7 +980,6 @@ class JobEngine:
                 repair=None,
                 faults=None if plan is None else plan.for_attempt(job.attempt),
             ),
-            "graph_descriptor": None,
             "timeout_seconds": job.timeout_seconds,
             "trace_id": job.trace_id,
         }
@@ -1206,11 +1199,6 @@ class JobEngine:
             self.pool.close()
         if self.journal is not None:
             self.journal.close()
-        self.catalog.close_shared()
-
-    def segment_stats(self) -> dict:
-        """Shared-segment stats: the catalog's graph shares."""
-        return self.catalog.segment_stats()
 
     def supervisor_stats(self) -> dict:
         """Fault-tolerance counters for ``/healthz`` (shared assembly)."""
@@ -1234,8 +1222,6 @@ class JobEngine:
                   labelnames=("method", "status"))
         m.histogram("repro_stage_seconds", "Wall seconds per pipeline stage",
                     labelnames=("stage",))
-        m.gauge("repro_shm_segments", "Live shared-memory segments")
-        m.gauge("repro_shm_bytes", "Bytes resident in shared-memory segments")
         m.counter("repro_wire_messages_total", "Frames sent",
                   labelnames=("scope",))
         m.counter("repro_wire_bytes_total",
@@ -1256,8 +1242,6 @@ class JobEngine:
                   "Jobs degraded to in-process execution (breaker open)")
         m.counter("repro_retries_scheduled_total",
                   "Transient-failure retries scheduled")
-        m.counter("repro_shm_attaches_total",
-                  "Shared-segment descriptor handouts")
 
     def render_metrics(self) -> str:
         """``GET /metrics``: the engine's, the catalog's and the journal's
@@ -1267,8 +1251,8 @@ class JobEngine:
         component that counts it, on its hot path, and each family is
         registered by that component alone, so no family renders twice.
         What is read here, at scrape time, is the live state the gauges
-        report: queue depth, jobs per state, shm segments and bytes, and
-        whether the pool's breaker is open.
+        report: queue depth, jobs per state and whether the pool's breaker
+        is open.
         """
         m = self.metrics
         counts = self.queue.counts()
@@ -1276,9 +1260,6 @@ class JobEngine:
         jobs_g = m.gauge("repro_queue_jobs", labelnames=("state",))
         for state, n in counts.items():
             jobs_g.labels(state=state).set(n)
-        seg = self.segment_stats()
-        m.gauge("repro_shm_segments").set(seg.get("segments", 0))
-        m.gauge("repro_shm_bytes").set(seg.get("bytes", 0))
         pool = self._dispatcher
         if isinstance(pool, supervise.SupervisedPool):
             m.gauge("repro_breaker_open", labelnames=("pool",)).labels(

@@ -87,8 +87,8 @@ class Job:
     #: Per-job run-time budget in seconds (``None``: unbounded). Rides the
     #: cancel token; a tripped deadline fails the job at the next safe point.
     timeout_seconds: float | None = None
-    #: How many times a **transient** failure (killed/hung worker, broken
-    #: pool, shm attach failure — :class:`~repro.errors.TransientJobError`)
+    #: How many times a **transient** failure (killed/hung worker, dead
+    #: host, broken pool — :class:`~repro.errors.TransientJobError`)
     #: may be re-dispatched before the job fails for good. Permanent
     #: failures never retry.
     max_retries: int = 0

@@ -15,9 +15,9 @@ Two halves, speaking the length-prefixed frame protocol of
       long as its connection;
     * ``run_job`` — one whole job spec, executed by
       :func:`repro.jobs.dispatch._run_spec`, the runner every dispatcher
-      uses, over the host's own catalog (never a coordinator segment),
-      so derived-artifact reuse, cancel semantics, failure classification
-      and the pass history are identical to single-machine serving.
+      uses, over the host's own catalog, so derived-artifact reuse, cancel
+      semantics, failure classification and the pass history are
+      identical to single-machine serving.
 
     Control operations (``cancel``, ``ping``, ``ensure_graph``,
     ``put_graph``) arrive on separate connections served by their own
@@ -37,11 +37,10 @@ Two halves, speaking the length-prefixed frame protocol of
     then re-dispatches it to a surviving host.
 
 Failure semantics: a host death loses only the jobs running on it, never
-acknowledged state (the journal lives with the coordinator); a dead host's
-segments are reclaimed by the shm janitor on the next serve start because
-every segment name carries its creator pid — and *only* then, since the
-janitor treats foreign live pids (hosts started by other parents or users)
-as untouchable.
+acknowledged state (the journal lives with the coordinator). It leaves
+nothing to clean up either: a host's catalog is plain files, and its
+cancel flag and heartbeat live in its own anonymous mapping, which dies
+with the process.
 """
 
 from __future__ import annotations
@@ -98,12 +97,9 @@ class WorkerHost:
         #: Scoped wire accounting: this host's reply frames count here (and
         #: in its own registry), never in the coordinator's accumulator.
         self.wire = frame.WireStats(scope="worker_host")
-        # One cancel flag + heartbeat slot, created by *this* process so the
-        # segment names carry this host's pid — the janitor contract.
-        self._flags = shm.CancelFlags.create(1) if shm.shm_available() else None
-        self._heartbeats = (shm.HeartbeatSlots.create(1)
-                            if shm.shm_available() else None)
-        self._graph_cache: dict = {}
+        # One cancel flag + heartbeat slot for the running job: the control
+        # thread raises the flag, the job's token polls and stamps it.
+        self._slots = shm.WorkerSlots(1)
         self._lock = threading.Lock()
         self._active_job: str | None = None
         self._pending_cancels: list[str] = []
@@ -149,7 +145,8 @@ class WorkerHost:
             self._threads = [x for x in self._threads if x.is_alive()]
 
     def close(self) -> None:
-        """Stop serving and release every shm segment this host created."""
+        """Stop serving: close the listener and join the connection
+        threads."""
         if self._stop.is_set():
             return
         self._stop.set()
@@ -161,11 +158,6 @@ class WorkerHost:
             self._accept_thread.join(timeout=2.0)
         for t in self._threads:
             t.join(timeout=1.0)
-        if self._flags is not None:
-            self._flags.close()
-        if self._heartbeats is not None:
-            self._heartbeats.close()
-        self.catalog.close_shared()
 
     def __enter__(self) -> "WorkerHost":
         if self._accept_thread is None:
@@ -219,7 +211,6 @@ class WorkerHost:
         op = msg.get("op")
         if op == "hello":
             return {"ok": True, "pid": os.getpid(),
-                    "shm": shm.shm_available(),
                     "graphs": len(self.catalog.keys())}
         if op == "run_job":
             return self._op_run_job(msg)
@@ -241,8 +232,7 @@ class WorkerHost:
         if op == "cancel":
             return self._op_cancel(msg)
         if op == "ping":
-            age = (self._heartbeats.age_seconds(0)
-                   if self._heartbeats is not None else None)
+            age = self._slots.age_seconds(0)
             with self._lock:
                 busy = self._active_job
             return {"ok": True, "busy": busy, "beat_age": age}
@@ -275,25 +265,21 @@ class WorkerHost:
                 self._pending_cancels.remove(job_id)
                 return {"ok": True, "out": {"state": "CANCELLED",
                                             "error": None, "passes": []}}
-            if self._flags is not None:
-                self._flags.clear(0)
+            self._slots.clear(0)
             self._active_job = job_id
         try:
-            out = _serve_spec(spec, self._flags, 0, self.catalog,
-                              self._graph_cache, heartbeats=self._heartbeats)
+            out = _serve_spec(spec, self._slots, 0, self.catalog)
         finally:
             with self._lock:
                 self._active_job = None
-                if self._flags is not None:
-                    self._flags.clear(0)
+                self._slots.clear(0)
         return {"ok": True, "out": out}
 
     def _op_cancel(self, msg: dict) -> dict:
         job_id = msg["job_id"]
         with self._lock:
             if self._active_job == job_id:
-                if self._flags is not None:
-                    self._flags.set(0)
+                self._slots.set(0)
                 return {"ok": True, "state": "signalled"}
             if job_id not in self._pending_cancels:
                 self._pending_cancels.append(job_id)
@@ -601,15 +587,13 @@ def worker_serve(host: str, port: int, cache_root,
     """Run a dedicated worker host until SIGTERM/SIGINT (the CLI entry).
 
     Marks the process with ``REPRO_FAULT_HOST`` so an armed ``host_kill``
-    fault dies for real — the whole point is exercising unclean host death
-    — and sweeps stale segments from previously killed processes before
-    serving. ``port_file`` (written as ``host port pid``) lets launchers
-    bind port 0 and discover the ephemeral port race-free.
+    fault dies for real — the whole point is exercising unclean host death.
+    ``port_file`` (written as ``host port pid``) lets launchers bind port 0
+    and discover the ephemeral port race-free.
     """
     import signal
 
     os.environ["REPRO_FAULT_HOST"] = str(os.getpid())
-    shm.sweep_stale_segments()
     server = WorkerHost(cache_root, host=host, port=port)
     bound_host, bound_port = server.address
     print(f"worker listening on {bound_host}:{bound_port} pid={os.getpid()}",

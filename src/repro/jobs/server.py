@@ -13,7 +13,7 @@ The API surface:
 Method      Path                     Meaning
 ==========  =======================  ===========================================
 ``GET``     ``/healthz``             liveness + job counts per state + limits
-                                     + dispatcher mode + segment-store stats
+                                     + dispatcher mode + fault tolerance
 ``GET``     ``/catalog``             catalog entries + hit/miss/eviction stats
 ``POST``    ``/jobs``                submit a job → ``{"job_id": ...}``; **429**
                                      once the queue's ``max_queued`` bound is hit
@@ -201,7 +201,6 @@ class JobApi:
                 "dispatchers": engine.dispatchers,
                 "pool": engine.pool.name if engine.pool is not None else None,
             },
-            "segments": engine.segment_stats(),
             "limits": {
                 "retention": queue.retention,
                 "max_queued": queue.max_queued,
@@ -210,8 +209,8 @@ class JobApi:
                 "default_max_retries": engine.default_max_retries,
             },
             # Fault-tolerance telemetry: draining flag, retry/degradation
-            # counters, worker supervision, journal stats, recovery
-            # outcome, and the startup janitor's swept stale segments.
+            # counters, worker supervision, journal stats and the recovery
+            # outcome.
             "fault_tolerance": engine.supervisor_stats(),
         }
 

@@ -170,7 +170,6 @@ def engine_supervisor_stats(engine) -> dict:
             m.counter("repro_retries_scheduled_total").value),
         "degraded_jobs": int(m.counter("repro_degraded_dispatch_total").value),
         "draining": engine._draining,
-        "swept_segments": list(engine.swept_segments),
         "recovery": dict(engine.recovery_stats),
         "watches": n_watches,
         "mutations": engine._mutations,

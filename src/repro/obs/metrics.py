@@ -26,7 +26,7 @@ default sink — one process, one exporter). Code that must not share
 counters (a test, a second engine in one process) builds its own
 :class:`MetricsRegistry` and threads it through, or installs it as the
 *ambient* registry with :func:`use_registry` so deep call sites
-(phase-1 walk cache, shm attach) pick it up via :func:`ambient` without
+(phase-1 walk cache, stage spans) pick it up via :func:`ambient` without
 parameter plumbing. :data:`NULL_REGISTRY`, whose instruments are no-ops,
 is the overhead guard's baseline.
 
@@ -80,8 +80,6 @@ REQUIRED_FAMILIES = (
     "repro_http_responses_total",
     "repro_stage_seconds",
     "repro_catalog_events_total",
-    "repro_shm_segments",
-    "repro_shm_bytes",
     "repro_wire_messages_total",
     "repro_wire_bytes_total",
     "repro_walk_cache_events_total",
@@ -538,7 +536,7 @@ def ambient() -> MetricsRegistry:
     """The ambient registry: the innermost :func:`use_registry`, else global.
 
     Deep call sites with no natural registry parameter (phase-1 walk
-    cache, shm attach) record here, so an engine that installs its own
+    cache, stage spans) record here, so an engine that installs its own
     registry around a job run captures them without plumbing.
     """
     reg = _ambient.get()

@@ -17,16 +17,14 @@ from repro.graph.graph import Graph
 
 @pytest.fixture(autouse=True)
 def _no_shm_leaks():
-    """Every test is audited for leaked ``/dev/shm/repro_*`` segments.
+    """Every test is audited for new ``/dev/shm/repro_*`` segments.
 
-    The serving stack (catalog graph shares, cancel flags, heartbeats)
-    promises that no segment outlives its owner. The audit diffs against
-    whatever pre-existed, so unrelated processes on the box cannot
-    false-positive it.
+    Nothing in the package creates a named segment (the forked workers'
+    cancel flags and heartbeats live in an anonymous mapping, and graphs
+    are read through the catalog's mmap'd NPZ files), so any new one is a
+    leak. The audit diffs against whatever pre-existed, so unrelated
+    processes on the box cannot false-positive it.
     """
-    if not shm.shm_available():
-        yield
-        return
     before = set(shm.leaked_segments())
     yield
     leaked = sorted(set(shm.leaked_segments()) - before)

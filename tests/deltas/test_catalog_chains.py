@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.bsp import shm
 from repro.deltas import extend_part_of
 from repro.errors import FaultInjectedError
 from repro.faults import FaultPlan
@@ -218,22 +217,21 @@ def test_get_rebuilds_a_superseded_version_bit_identically(tmp_path):
     assert _in_memory(cat) == {keys[0], keys[-1]}
 
 
-def test_a_superseded_shared_version_is_unpublished(tmp_path):
-    if not shm.shm_available():
-        pytest.skip("POSIX shared memory not available")
+def test_a_reader_catalog_forgets_what_the_index_shows_superseded(tmp_path):
+    """A second catalog over the same root (a forked worker's) follows a
+    chain through refresh() and keeps what the mutating catalog keeps:
+    the root and the head, not every version it was asked for."""
     cat = GraphCatalog(tmp_path)
-    g0 = superposed_cycles(40, seed=4)
-    k0 = cat.put(g0)
-    k1 = cat.mutate(k0, detour_delta(g0, [3]))
-    try:
-        cat.pin(k1)  # a forked job on k1 attaches its segment
-        descriptor = cat.share(k1)
-        k2 = cat.mutate(k1, detour_delta(cat.get(k1), [4]))
-        assert cat.segment_stats()["segments"] == 1  # still pinned
-        cat.unpin(k1)
-        assert cat.segment_stats()["segments"] == 0
-        with pytest.raises(FileNotFoundError):
-            shm.attach_arrays(descriptor)
-        assert k2 in cat and _in_memory(cat) == {k0, k2}
-    finally:
-        cat.close_shared()
+    reader = GraphCatalog(tmp_path)
+    graphs = [superposed_cycles(40, seed=6)]
+    keys = [cat.put(graphs[0])]
+    for step in range(6):
+        keys.append(cat.mutate(keys[-1], detour_delta(graphs[-1], [step])))
+        graphs.append(cat.get(keys[-1]))
+        assert keys[-1] not in reader
+        reader.refresh()
+        _graphs_equal(reader.get(keys[-1]), graphs[-1])
+        reader.partition_map(keys[-1], "ldg", 4, 0)
+    assert _in_memory(cat) == {keys[0], keys[-1]}
+    assert set(reader._graphs) == {keys[0], keys[-1]}
+    assert _in_memory(reader) == {keys[0], keys[-1]}

@@ -1,13 +1,9 @@
-"""Catalog zero-copy sharing and the eviction/live-mmap race.
+"""The catalog's eviction / live-mmap race.
 
-Two contracts pinned here. First, :meth:`GraphCatalog.share` publishes a
-graph's edge arrays into a shared-memory segment that forked workers can
-attach bit-exactly, and the segment's lifetime follows the catalog entry
-(eviction unpublishes, ``close_shared`` unlinks everything). Second — the
-regression this file exists for — budget eviction must never unlink an NPZ
-while any caller still holds the mmap'd ``Graph`` it was handed: the file
-removal is deferred to the death of the last live reference, and a key
-re-published in the meantime keeps its files.
+Budget eviction must never unlink an NPZ while any caller still holds the
+mmap'd ``Graph`` it was handed — every dispatcher reads graphs through that
+mmap: the file removal is deferred to the death of the last live
+reference, and a key re-published in the meantime keeps its files.
 """
 
 from __future__ import annotations
@@ -15,60 +11,9 @@ from __future__ import annotations
 import gc
 
 import numpy as np
-import pytest
 
-from repro.bsp import shm
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs import GraphCatalog
-
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory not available"
-)
-
-
-# ---------------------------------------------------------------------------
-# share(): the zero-copy graph plane
-# ---------------------------------------------------------------------------
-
-
-@needs_shm
-def test_share_roundtrips_edge_arrays(tmp_path):
-    catalog = GraphCatalog(tmp_path)
-    g = random_eulerian(60, 5, 16, seed=2)
-    key = catalog.put(g)
-    try:
-        descriptor = catalog.share(key)
-        assert descriptor["n_vertices"] == g.n_vertices
-        views = shm.attach_arrays(descriptor)
-        np.testing.assert_array_equal(views["edge_u"], g.edge_u)
-        np.testing.assert_array_equal(views["edge_v"], g.edge_v)
-        # Idempotent: re-sharing the same key reuses the segment.
-        again = catalog.share(key)
-        assert again["segment"] == descriptor["segment"]
-        assert catalog.segment_stats()["segments"] == 1
-    finally:
-        catalog.close_shared()
-    assert catalog.segment_stats()["segments"] == 0
-
-
-@needs_shm
-def test_eviction_unpublishes_shared_segment(tmp_path):
-    catalog = GraphCatalog(tmp_path, size_budget_bytes=1)
-    key = catalog.put(grid_city(6, 6))
-    descriptor = catalog.share(key)
-    try:
-        # Next put busts the 1-byte budget and evicts the grid.
-        catalog.put(random_eulerian(40, 4, 12, seed=1))
-        assert key not in catalog
-        with pytest.raises(FileNotFoundError):
-            shm.attach_arrays(descriptor)
-    finally:
-        catalog.close_shared()
-
-
-# ---------------------------------------------------------------------------
-# The eviction / live-mmap race
-# ---------------------------------------------------------------------------
 
 
 def test_eviction_defers_unlink_while_graph_is_live(tmp_path):

@@ -146,9 +146,8 @@ def test_forked_spec_out_is_about_the_walks(tmp_path):
     catalog = GraphCatalog(tmp_path / "cat")
     spec = {"job_id": "job-1", "scenario": "circuit",
             "graph_key": catalog.put(g), "config": RunConfig(n_parts=8),
-            "graph_descriptor": None, "timeout_seconds": None,
-            "trace_id": None}
-    out = _run_spec(spec, None, catalog, {})
+            "timeout_seconds": None, "trace_id": None}
+    out = _run_spec(spec, None, catalog)
     assert out["state"] == DONE, out.get("error")
     walk = out["result"].circuit
     walk_bytes = walk.vertices.nbytes + walk.edge_ids.nbytes

@@ -3,9 +3,10 @@
 The process-dispatcher mode must be observationally identical to the
 thread mode — same results, same artifact schema, same cancellation and
 deadline semantics — while actually running jobs in forked worker
-processes against shared-memory graph segments. These tests pin that
-contract plus the failure modes threads don't have: a worker killed
-mid-job must fail only that job, and the pool must respawn the slot.
+processes that read graphs through the catalog's mmap. These tests pin
+that contract plus the failure modes threads don't have: a worker killed
+mid-job must fail only that job, the pool must respawn the slot, and a
+worker whose engine dies must not outlive it.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
 from repro.scenarios.base import SCENARIOS, Scenario, register_scenario
 
-pytestmark = pytest.mark.skipif(
-    not shm.shm_available(), reason="process dispatchers need POSIX shm"
-)
-
-
 def _process_engine(tmp_path, n=2, **kwargs) -> JobEngine:
     return JobEngine(
         GraphCatalog(tmp_path / "cat"),
@@ -46,7 +42,8 @@ def _process_engine(tmp_path, n=2, **kwargs) -> JobEngine:
 
 
 class _SpinScenario(Scenario):
-    """Touches a marker file, then spins at a cancellation safe point.
+    """Writes its pid into a marker file, then spins at a cancellation
+    safe point.
 
     Registered *before* the engine forks its workers, so the forked
     interpreters inherit it; the marker file is the only cross-process
@@ -59,7 +56,7 @@ class _SpinScenario(Scenario):
         self.marker = marker
 
     def reduce(self, graph, config):
-        Path(self.marker).touch()
+        Path(self.marker).write_text(str(os.getpid()))
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             time.sleep(0.005)
@@ -112,20 +109,30 @@ def test_forked_jobs_match_serial_runs(tmp_path):
             assert ref.metrics == got.metrics
             job = engine.job(handle.job_id)
             assert job.state == DONE
-            passes = [p["pass"] for p in job.passes]
-            assert "share_graph" in passes and "load_graph" in passes
+            # The parent persists the derived artifacts and nothing else;
+            # the worker loads the graph from its own catalog.
+            passes = [p["pass"] for p in job.passes
+                      if not p["pass"].startswith("stage:")]
+            assert passes == ["persist_derived", "load_graph",
+                              "derived_artifacts", "run_scenario"]
 
 
 def test_forked_worker_attaches_graph_segment(tmp_path):
+    """The segment a forked worker attaches is the catalog's mmap'd NPZ:
+    its first job maps the archive, its next job on the same graph reads
+    the mapping it already holds, and no named shm segment is made."""
+    segments = shm.leaked_segments()
     with _process_engine(tmp_path, n=1) as engine:
-        handle = engine.submit("circuit", graph=grid_city(8, 8),
-                               config=RunConfig(n_parts=4))
-        handle.result(timeout=120)
-        job = engine.job(handle.job_id)
-        load = next(p for p in job.passes if p["pass"] == "load_graph")
-        assert load["source"] == "segment"  # zero-copy, not NPZ deserialize
-        stats = engine.segment_stats()
-        assert stats["segments"] >= 1 and stats["attaches"] >= 1
+        sources = []
+        for _ in range(2):
+            handle = engine.submit("circuit", graph=grid_city(8, 8),
+                                   config=RunConfig(n_parts=4))
+            handle.result(timeout=120)
+            job = engine.job(handle.job_id)
+            load = next(p for p in job.passes if p["pass"] == "load_graph")
+            sources.append(load["source"])
+        assert sources == ["npz", "cache"]  # mapped once, then reused
+        assert shm.leaked_segments() == segments
 
 
 def test_worker_catalog_lookups_count_on_the_engines_catalog(tmp_path):
@@ -209,6 +216,61 @@ def test_killed_worker_fails_job_and_respawns(tmp_path, spin_scenario):
         assert ok.result(timeout=120).circuits
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is alive and not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_bytes()
+    except OSError:
+        return False
+    return stat.rpartition(b")")[2].split()[:1] != [b"Z"]
+
+
+def test_orphaned_forked_worker_stops_at_its_next_check(tmp_path,
+                                                       spin_scenario):
+    """SIGKILL the process that owns a process-mode engine while its
+    worker runs a job: the re-parented worker's token fires at its next
+    poll, the job stops and the worker exits (gone, or a zombie that
+    nobody reaps)."""
+    from repro.graph.graph import Graph
+
+    owner = os.fork()
+    if owner == 0:  # the engine's process, until the test kills it
+        try:
+            engine = _process_engine(tmp_path, n=1,
+                                     metrics=MetricsRegistry())
+            engine.submit("test-spin",
+                          graph=Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)]))
+            time.sleep(120)
+        finally:
+            os._exit(1)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while not (spin_scenario.exists() and spin_scenario.read_text()):
+            assert time.monotonic() < deadline, "the job never started"
+            time.sleep(0.01)
+        worker = int(spin_scenario.read_text())
+        assert worker != owner
+        os.kill(owner, signal.SIGKILL)
+        os.waitpid(owner, 0)
+        owner = None
+        deadline = time.monotonic() + 10
+        while _running(worker):
+            assert time.monotonic() < deadline, \
+                "orphaned worker still running 10 s after its engine died"
+            time.sleep(0.05)
+    finally:
+        if owner is not None:
+            os.kill(owner, signal.SIGKILL)
+            os.waitpid(owner, 0)
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
 # ---------------------------------------------------------------------------
 # Pool lifecycle
 # ---------------------------------------------------------------------------
@@ -216,15 +278,15 @@ def test_killed_worker_fails_job_and_respawns(tmp_path, spin_scenario):
 
 def test_forked_pool_close_reaps_workers_and_flags(tmp_path):
     before = {p.pid for p in multiprocessing.active_children()}
+    segments = shm.leaked_segments()
     pool = ForkedWorkerPool(2, GraphCatalog(tmp_path / "cat"))
-    flags_segment = pool.flags.descriptor["segment"]
     spawned = [p.pid for p, _ in pool._workers]
     assert all(pid not in before for pid in spawned)
     pool.close()
     pool.close()  # idempotent
     after = {p.pid for p in multiprocessing.active_children()}
     assert not any(pid in after for pid in spawned)
-    assert flags_segment not in shm.leaked_segments()
+    assert shm.leaked_segments() == segments  # the slots had no name
     with pytest.raises(RuntimeError):
         pool.run_job(None, {}, 0)
 
@@ -271,38 +333,37 @@ def test_forked_pool_validates_args(tmp_path):
 def test_flag_token_mirrors_cancel_token_semantics():
     from repro.errors import RunCancelledError
 
-    flags = shm.CancelFlags.create(2)
-    try:
-        token = FlagToken(flags, 0, timeout_seconds=None)
-        assert not token.should_stop
-        token.check("anywhere")  # no flag, no deadline: a no-op
-        flags.set(0)
-        assert token.cancelled and token.should_stop
-        with pytest.raises(RunCancelledError) as exc:
-            token.check("superstep")
-        assert exc.value.reason == "cancel"
+    slots = shm.WorkerSlots(2)
+    token = FlagToken(slots, 0, timeout_seconds=None)
+    assert not token.should_stop
+    token.check("anywhere")  # no flag, no deadline: a no-op
+    assert slots.age_seconds(0) is not None  # every poll beats
+    slots.set(0)
+    assert token.cancelled and token.should_stop
+    with pytest.raises(RunCancelledError) as exc:
+        token.check("superstep")
+    assert exc.value.reason == "cancel"
 
-        # An expired deadline loses to an explicit cancel (same as
-        # CancelToken) — and wins when only the deadline fired.
-        expired = FlagToken(flags, 1, timeout_seconds=1e-9)
-        time.sleep(0.002)
-        with pytest.raises(RunCancelledError) as exc:
-            expired.check("superstep")
-        assert exc.value.reason == "timeout"
-    finally:
-        flags.close()
+    # An expired deadline loses to an explicit cancel (same as
+    # CancelToken) — and wins when only the deadline fired.
+    expired = FlagToken(slots, 1, timeout_seconds=1e-9)
+    time.sleep(0.002)
+    with pytest.raises(RunCancelledError) as exc:
+        expired.check("superstep")
+    assert exc.value.reason == "timeout"
+
+    # A forked worker's token also fires once its parent is gone.
+    assert not FlagToken(slots, 1, parent=os.getppid()).cancelled
+    assert FlagToken(slots, 1, parent=os.getppid() + 1).cancelled
 
 
 def test_flag_token_pickles_inert():
     import pickle
 
-    flags = shm.CancelFlags.create(1)
-    try:
-        flags.set(0)
-        token = FlagToken(flags, 0, timeout_seconds=5.0)
-        clone = pickle.loads(pickle.dumps(token))
-        assert clone.timeout_seconds == 5.0
-        assert not clone.cancelled and not clone.should_stop
-        clone.check("anywhere")  # revived tokens never fire
-    finally:
-        flags.close()
+    slots = shm.WorkerSlots(1)
+    slots.set(0)
+    token = FlagToken(slots, 0, timeout_seconds=5.0, parent=os.getppid() + 1)
+    clone = pickle.loads(pickle.dumps(token))
+    assert clone.timeout_seconds == 5.0
+    assert not clone.cancelled and not clone.should_stop
+    clone.check("anywhere")  # revived tokens never fire

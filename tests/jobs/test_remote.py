@@ -3,7 +3,7 @@
 The acceptance contract for the distributed layer: a 2-host loopback
 cluster produces jobs bit-identical to the in-process engine, survives a
 SIGKILL'd worker host (the job retries on the survivor and the result is
-still bit-identical), leaks no shared-memory segments, and degrades to
+still bit-identical), leaves nothing in /dev/shm, and degrades to
 in-process execution when every host is unreachable. A superstep program
 installed on a host lives exactly as long as the connection that
 installed it.
@@ -161,12 +161,10 @@ def test_remote_dispatcher_matches_serial(tmp_path, two_hosts, graph):
         assert_same_result(serial, res)
 
 
-@pytest.mark.skipif(not shm.shm_available(), reason="needs /dev/shm")
 def test_remote_job_reads_the_host_catalog_not_coordinator_shm(
         tmp_path, two_hosts, graph):
-    """A segment name only means something on the coordinator's machine:
-    a remote job is provisioned into the host's catalog and leaves no
-    graph segment behind on the coordinator."""
+    """A remote job is provisioned into the host's catalog and loads its
+    graph there; nothing lands in /dev/shm on either side."""
     with JobEngine(
         tmp_path / "coord", dispatcher="remote",
         hosts=[h.address for h in two_hosts],
@@ -176,11 +174,9 @@ def test_remote_job_reads_the_host_catalog_not_coordinator_shm(
                                config=RunConfig(n_parts=4))
         handle.result(timeout=60)
         job = engine.job(handle.job_id)
-        assert engine.segment_stats()["segments"] == 0
         assert set(shm.leaked_segments()) - before == set()
     sources = [p["source"] for p in job.passes if p["pass"] == "load_graph"]
-    assert sources and "segment" not in sources
-    assert "share_graph" not in [p["pass"] for p in job.passes]
+    assert sources and set(sources) <= {"npz", "cache"}
 
 
 def test_remote_dispatcher_requires_hosts(tmp_path):
@@ -368,23 +364,23 @@ def _spawn_cli_worker(tmp_path, name):
     while not port_file.exists() or len(port_file.read_text().split()) < 3:
         assert time.monotonic() < deadline, "worker never came up"
         time.sleep(0.05)
-    host, port, pid = port_file.read_text().split()
-    return proc, f"{host}:{port}", int(pid)
+    host, port, _ = port_file.read_text().split()
+    return proc, f"{host}:{port}"
 
 
-@pytest.mark.skipif(not shm.shm_available(), reason="needs /dev/shm")
 def test_sigkilled_host_job_retries_bit_identical(tmp_path):
     """A short soak over two worker host processes, one job of which
     SIGKILLs its host mid-job (injected host_kill): that job retries on the
     survivor, every job on either graph ends DONE and bit-identical to its
-    serial run, the jobs after the kill all run on the survivor, and after
-    the janitor sweep neither host's segments are left."""
+    serial run, the jobs after the kill all run on the survivor, and
+    neither host, killed or stopped, leaves a segment behind."""
     graphs = [random_eulerian(60 + 10 * i, 5, 16, seed=i) for i in range(2)]
     config = RunConfig(n_parts=4, seed=0)
     serial = [run_scenario(g, "circuit", config) for g in graphs]
 
-    p1, addr1, pid1 = _spawn_cli_worker(tmp_path, "w1")
-    p2, addr2, pid2 = _spawn_cli_worker(tmp_path, "w2")
+    before = set(shm.leaked_segments())
+    p1, addr1 = _spawn_cli_worker(tmp_path, "w1")
+    p2, addr2 = _spawn_cli_worker(tmp_path, "w2")
     procs = {0: p1, 1: p2}
     try:
         with JobEngine(
@@ -435,13 +431,8 @@ def test_sigkilled_host_job_retries_bit_identical(tmp_path):
                 p.kill()
                 p.wait(timeout=10)
 
-    # The SIGKILL'd host could not run cleanup; the janitor reclaims its
-    # segments by creator pid, leaving /dev/shm clean (the suite's autouse
-    # leak audit then sees nothing new).
-    shm.sweep_stale_segments()
-    leaked = [n for n in shm.leaked_segments()
-              if shm.segment_creator_pid(n) in (pid1, pid2)]
-    assert leaked == []
+    # The SIGKILL'd host ran no cleanup, and needed none.
+    assert sorted(set(shm.leaked_segments()) - before) == []
 
 
 def test_transient_error_taxonomy():

@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.bsp import shm
 from repro.errors import JobFailedError, RetriesExhaustedError
 from repro.faults import FaultPlan
 from repro.generate.synthetic import grid_city, random_eulerian
@@ -31,11 +30,6 @@ from repro.pipeline import RunConfig
 from repro.scenarios import run_scenario
 from repro.scenarios.base import SCENARIOS, register_scenario
 from repro.scenarios.circuit import CircuitScenario
-
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="process dispatchers need POSIX shm"
-)
-
 
 # Each engine counts into its own registry, so the exact counts the
 # tests read from supervisor_stats() are that engine's alone.
@@ -160,11 +154,7 @@ def broken_pipe_once():
     SCENARIOS.pop(_BrokenPipeOnce.name, None)
 
 
-@pytest.mark.parametrize("mode", [
-    "thread",
-    pytest.param("process", marks=needs_shm),
-    "remote",
-])
+@pytest.mark.parametrize("mode", ["thread", "process", "remote"])
 def test_broken_pipe_retries_on_every_dispatcher(tmp_path, mode,
                                                  broken_pipe_once):
     """One transient rule: a ``BrokenPipeError`` inside the job retries
@@ -198,7 +188,6 @@ def test_broken_pipe_retries_on_every_dispatcher(tmp_path, mode,
 # ---------------------------------------------------------------------------
 
 
-@needs_shm
 def test_worker_kill_retries_to_identical_result(tmp_path):
     g = random_eulerian(60, 5, 16, seed=25)
     config = RunConfig(n_parts=4, seed=0)
@@ -219,7 +208,6 @@ def test_worker_kill_retries_to_identical_result(tmp_path):
         assert engine.supervisor_stats()["workers"]["respawns"] >= 1
 
 
-@needs_shm
 def test_kill_at_every_superstep_is_bit_identical(tmp_path):
     """The chaos sweep: SIGKILL the worker at each superstep boundary in
     turn; every retried run must match the unfaulted reference exactly."""
@@ -249,7 +237,6 @@ def test_kill_at_every_superstep_is_bit_identical(tmp_path):
         assert engine.supervisor_stats()["workers"]["respawns"] == kills
 
 
-@needs_shm
 def test_hung_worker_is_detected_killed_and_job_retried(tmp_path):
     g = random_eulerian(40, 4, 12, seed=26)
     with _process_engine(tmp_path, hang_timeout=0.5,
@@ -266,7 +253,6 @@ def test_hung_worker_is_detected_killed_and_job_retried(tmp_path):
         assert engine.job(handle.job_id).attempt == 1
 
 
-@needs_shm
 def test_respawn_budget_opens_circuit_breaker(tmp_path):
     pool = ForkedWorkerPool(1, GraphCatalog(tmp_path / "cat"),
                             respawn_budget=2, respawn_window=60.0,
@@ -286,7 +272,6 @@ def test_respawn_budget_opens_circuit_breaker(tmp_path):
         pool.close()
 
 
-@needs_shm
 def test_open_breaker_degrades_to_in_process_dispatch(tmp_path):
     g = random_eulerian(40, 4, 12, seed=27)
     config = RunConfig(n_parts=2, seed=0)

@@ -241,8 +241,6 @@ def test_required_families_is_a_stable_schema():
         "repro_http_responses_total",
         "repro_stage_seconds",
         "repro_catalog_events_total",
-        "repro_shm_segments",
-        "repro_shm_bytes",
         "repro_wire_messages_total",
         "repro_wire_bytes_total",
         "repro_walk_cache_events_total",

@@ -87,8 +87,7 @@ def test_engine_stats_use_the_shared_assembly(engine):
     assert stats == engine_supervisor_stats(engine)
     assert set(stats) >= {
         "dispatcher", "retries_scheduled", "degraded_jobs", "draining",
-        "swept_segments", "recovery", "watches", "mutations",
-        "watch_emissions",
+        "recovery", "watches", "mutations", "watch_emissions",
     }
     # Thread dispatch: no nested pool/journal blocks.
     assert "workers" not in stats and "hosts" not in stats

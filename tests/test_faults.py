@@ -39,9 +39,9 @@ def test_spec_validation():
 
 def test_parse_grammar_round_trips():
     plan = FaultPlan.parse("worker_kill@at=2;fail@at=0,attempts=3;"
-                           "slow@at=1,delay=0.25;shm_attach@")
+                           "slow@at=1,delay=0.25;delta_apply@")
     kinds = [s.kind for s in plan.specs]
-    assert kinds == ["worker_kill", "fail", "slow", "shm_attach"]
+    assert kinds == ["worker_kill", "fail", "slow", "delta_apply"]
     assert plan.specs[0].at == 2
     assert plan.specs[1].attempts == 3
     assert plan.specs[2].delay == 0.25
@@ -79,13 +79,6 @@ def test_superstep_fires_at_exact_boundary():
     with pytest.raises(FaultInjectedError):
         plan.superstep()  # boundary 2 — fires
     assert isinstance(FaultInjectedError("x"), TransientJobError)
-
-
-def test_shm_attach_fault_fires_once():
-    plan = FaultPlan.parse("shm_attach@")
-    with pytest.raises(FileNotFoundError):
-        plan.shm_attach()
-    plan.shm_attach()  # consumed: the fallback path attaches cleanly
 
 
 def test_pickle_resets_boundary_counter():
