@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..graph.graph import index_dtype
 from ..graph.partition import PartitionedGraph
 from .merge_tree import MergeTree
 
@@ -56,24 +57,19 @@ def strategy_flags(strategy: str) -> tuple[bool, bool]:
 class RemotePlacement:
     """Which partition holds which remote half-edges at load time.
 
-    ``rows_for[pid]`` is an ``int64 (k, 4)`` array of half-edges
-    ``(src, dst, eid, dst_pid)`` placed in partition ``pid``'s memory, and
+    ``rows_for[pid]`` is a ``(k, 4)`` array of half-edges ``(src, dst, eid,
+    dst_pid)`` placed in partition ``pid``'s memory, and
     ``merge_level_by_eid`` maps each cut eid to the level at whose end the
     two incident groups merge (from the static merge tree), which the
-    deferred strategy keys shipments on — a dense ``int64 (n_edges,)``
-    column, −1 for non-cut edges, so planning code fancy-indexes held rows'
-    eid column instead of looping a dict. :attr:`merge_level` derives the
-    legacy dict view on demand.
+    deferred strategy keys shipments on — a dense ``(n_edges,)`` column, −1
+    for non-cut edges, so planning code fancy-indexes held rows' eid column
+    instead of looping a dict. Both are stored at the run's index width
+    (:func:`~repro.graph.graph.index_dtype` of the graph): ``int32``
+    whenever the graph's ids fit.
     """
 
     rows_for: dict[int, np.ndarray]
     merge_level_by_eid: np.ndarray
-
-    @property
-    def merge_level(self) -> dict[int, int]:
-        """``{cut eid: merge level}`` — derived view of the dense column."""
-        cut = np.flatnonzero(self.merge_level_by_eid >= 0)
-        return dict(zip(cut.tolist(), self.merge_level_by_eid[cut].tolist()))
 
 
 def plan_remote_placement(
@@ -89,6 +85,7 @@ def plan_remote_placement(
     """
     u = pg.graph.edge_u
     v = pg.graph.edge_v
+    width = index_dtype(pg.graph.n_vertices, pg.graph.n_edges)
     cut_eids = np.flatnonzero(~pg.local_mask)
     pu = pg.part_of[u[cut_eids]] if cut_eids.size else np.empty(0, np.int64)
     pv = pg.part_of[v[cut_eids]] if cut_eids.size else np.empty(0, np.int64)
@@ -104,7 +101,7 @@ def plan_remote_placement(
         dtype=np.int64,
         count=pair_keys.size,
     )
-    merge_level_by_eid = np.full(pg.graph.n_edges, -1, dtype=np.int64)
+    merge_level_by_eid = np.full(pg.graph.n_edges, -1, dtype=width)
     if cut_eids.size:
         merge_level_by_eid[cut_eids] = pair_levels[pair_inverse]
     del pair_inverse
@@ -139,7 +136,7 @@ def plan_remote_placement(
             pos = np.flatnonzero(on_u | (pv == pid))
             u_side = on_u[pos]
             del on_u
-        rows = np.empty((pos.size, 4), dtype=np.int64)
+        rows = np.empty((pos.size, 4), dtype=width)
         a, b = cu[pos], cv[pos]
         rows[:, 0] = np.where(u_side, a, b)
         rows[:, 1] = np.where(u_side, b, a)

@@ -9,13 +9,14 @@ raw edges, their endpoints' remote degrees drop (possibly turning boundary
 vertices internal), and both sides' coarse edges become the local edge set
 for the next Phase-1 run.
 
-Everything a state carries is a packed ``int64`` array — the **CoarseTable**
-``(k, 4)`` of ``(src, dst, fid, n_edges)`` rows, the held half-edge rows
-``(r, 4)``, and the remote-degree table ``(b, 2)`` — so the child→parent
-merge is pure array algebra (``np.isin`` on the destination-leaf column
-replaces the old per-row generator) and a pickled state is a handful of raw
-buffers, which is what the process executor ships across its worker
-boundary.
+Everything a state carries is a packed array — the ``int64``
+**CoarseTable** ``(k, 4)`` of ``(src, dst, fid, n_edges)`` rows, the held
+half-edge rows ``(r, 4)`` at the run's index width (``int32`` whenever the
+graph's ids fit, see :func:`~repro.graph.graph.index_dtype`), and the
+``int64`` remote-degree table ``(b, 2)`` — so the child→parent merge is pure
+array algebra (equality scans on the destination-leaf column replace the
+old per-row generator) and a pickled state is a handful of raw buffers,
+which is what the process executor ships across its worker boundary.
 """
 
 from __future__ import annotations

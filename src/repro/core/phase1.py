@@ -23,13 +23,15 @@ Data plane: the live local edges arrive as an **EdgeTable** — one packed
 ``int64 (m, 4)`` array with columns ``(u, v, kind, ref)`` — and the remote
 degrees as an ``int64 (r, 2)`` table (see :func:`edge_table` /
 :func:`remote_deg_table`, which also normalize the legacy tuple/dict forms).
-The adjacency build is fully vectorized into int64 walk tables (CSR
-half-edge offsets, per-slot packed edge and next vertex). The walk itself —
+The adjacency build is fully vectorized into walk tables (CSR half-edge
+offsets, per-slot packed edge and next vertex) stored at the narrowest
+index width the live graph allows (:func:`~repro.graph.graph.index_dtype`:
+``int32`` whenever its ids and slot codes fit). The walk itself —
 all three stages, mergeInto's pivot lookup, the splice of merged cycles
 into their roots and the ItemArray decode — runs in a small C kernel
 (``walk.c``, loaded by :mod:`repro.core.walk_kernel` with the GIL
-released), writing every fragment body into one preallocated
-``int64 (m, 4)`` block, which the run registers as its
+released, one entry point per width), writing every fragment body into
+one preallocated ``int64 (m, 4)`` block, which the run registers as its
 :class:`~repro.core.pathmap.FragmentBlock` beside per-root columns.
 :func:`_walk_reference` is the same walk in Python: the reference the
 kernel is tested against, and the path taken when no C compiler works.
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvariantViolation
+from ..graph.graph import index_dtype
 from ..obs import ambient
 from . import walk_kernel
 from .pathmap import ITEM_FRAG, FragmentBlock, FragmentStore, PathMap
@@ -115,13 +118,17 @@ def remote_deg_table(remote_degree) -> np.ndarray:
 
 
 class _WalkTables:
-    """Immutable int64 walk tables for one live-local-graph topology.
+    """Immutable walk tables for one live-local-graph topology.
 
     Everything the walk reads — CSR offsets, per-slot transition tables,
     boundary classification — is a pure function of the EdgeTable's
     ``(u, v)`` columns and the remote-degree table, so it can be shared
     across runs. The walk keeps its cursors and visited flags in per-run
-    buffers; these tables are never written after construction.
+    buffers; these tables are never written after construction. Every
+    index table (``offsets``, ``slot_enc``, ``slot_next``, ``eu_loc``,
+    ``ob``, ``eb`` and ``vert_ids``) has one width, which picks the walk
+    kernel's entry point; ``bnd_ids`` is a view of the int64 remote-degree
+    table.
     """
 
     __slots__ = (
@@ -153,6 +160,9 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     tests): a sorted unique id table ``vert_ids`` with searchsorted
     compaction. Both produce identical walks — local indices ascend in
     global-id order either way.
+
+    The tables are stored at :func:`~repro.graph.graph.index_dtype` of this
+    graph's own id space and edge count (int64 only for negative ids).
     """
     m = int(edges.shape[0])
     eu = edges[:, 0]
@@ -178,8 +188,9 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     dense = min_id >= 0 and id_space <= max(
         1 << 16, 8 * (2 * m + int(bnd_ids.size)) + 1024
     )
+    width = index_dtype(id_space, m) if min_id >= 0 else np.int64
 
-    half_vertex = np.empty(2 * m, dtype=np.int64)
+    half_vertex = np.empty(2 * m, dtype=width)
     if dense:
         vert_ids = None
         size = id_space
@@ -187,7 +198,7 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
         half_vertex[1::2] = ev
         bnd_loc = bnd_ids
     else:
-        vert_ids = np.unique(np.concatenate((eu, ev, bnd_ids)))
+        vert_ids = np.unique(np.concatenate((eu, ev, bnd_ids))).astype(width)
         size = int(vert_ids.size)
         half_vertex[0::2] = np.searchsorted(vert_ids, eu)
         half_vertex[1::2] = np.searchsorted(vert_ids, ev)
@@ -197,7 +208,7 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     # (radix sort on int keys, O(m)).
     order = np.argsort(half_vertex, kind="stable")
     local_deg = np.bincount(half_vertex, minlength=size)
-    offsets = np.zeros(size + 1, dtype=np.int64)
+    offsets = np.zeros(size + 1, dtype=width)
     np.cumsum(local_deg, out=offsets[1:])
 
     # Per-slot walk tables, fully precomputed: consuming sorted half-edge
@@ -212,7 +223,8 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     t.size = size
     t.vert_ids = vert_ids
     t.offsets = offsets
-    t.slot_enc = np.bitwise_xor(order, 1, out=order)
+    t.slot_enc = np.bitwise_xor(order, 1, out=np.empty(2 * m, dtype=width))
+    del order
     t.slot_next = half_vertex[t.slot_enc]
     t.eu_loc = half_vertex[0::2].copy()  # per-edge local start vertex
     t.bnd_ids = bnd_ids
@@ -221,8 +233,8 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     is_boundary[bnd_loc] = True
     odd_deg = (local_deg & 1).astype(bool)
     # Local indices, ascending — which is global-id order in both modes.
-    t.ob = np.flatnonzero(is_boundary & odd_deg)
-    t.eb = np.flatnonzero(is_boundary & ~odd_deg)
+    t.ob = np.flatnonzero(is_boundary & odd_deg).astype(width)
+    t.eb = np.flatnonzero(is_boundary & ~odd_deg).astype(width)
     t.n_local = (
         int(np.count_nonzero((local_deg > 0) | is_boundary)) if dense else size
     )
@@ -281,8 +293,9 @@ def _walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     """Cached :func:`_build_walk_tables` (content-addressed, per-process)."""
     m = int(edges.shape[0])
     entry_cap = _TABLE_CACHE_BYTES // 16
-    # The two slot tables alone take 32 bytes per edge.
-    if 32 * m > entry_cap:
+    # The two slot tables alone take 2m entries each, at no less than the
+    # width m alone allows (larger ids can only widen it).
+    if 4 * np.dtype(index_dtype(0, m)).itemsize * m > entry_cap:
         return _build_walk_tables(edges, rdeg)
     digest = hashlib.sha256()
     digest.update(np.int64(m).tobytes())
@@ -434,10 +447,12 @@ def run_phase1(
     roots = recs[recs[:, 2] != WALK_MERGED]
     n_roots = roots.shape[0]
     is_path = roots[:, 2] == WALK_PATH
-    srcs = roots[:, 0].copy()
+    srcs = roots[:, 0]
     dsts = np.where(is_path, roots[:, 1], srcs)  # a cycle ends where it began
     if t.vert_ids is not None:
         srcs, dsts = t.vert_ids[srcs], t.vert_ids[dsts]
+    # The block's root columns are int64 whatever the tables' width.
+    srcs, dsts = srcs.astype(np.int64), dsts.astype(np.int64)
     bounds = np.zeros(n_roots + 1, dtype=np.int64)
     np.cumsum(roots[:, 3], out=bounds[1:])
     # Raw-edge weights: every root is non-empty, so reduceat is safe; coarse
@@ -497,8 +512,9 @@ def _walk_reference(
     Returns ``(items, recs)``. ``recs`` has one ``(start, end, kind,
     flat_len)`` row per non-empty walk in discovery order (local vertex
     indices; ``kind`` is a ``WALK_*`` code; ``flat_len`` is a root's
-    spliced length, 0 for merged cycles). ``items`` is the ``(m, 4)``
-    ItemArray of every root's spliced body, roots in walk order.
+    spliced length, 0 for merged cycles), at the tables' width. ``items``
+    is the int64 ``(m, 4)`` ItemArray of every root's spliced body, roots
+    in walk order.
     """
     slot_enc = t.slot_enc.tolist()
     slot_next = t.slot_next.tolist()
@@ -621,4 +637,4 @@ def _walk_reference(
     items[:, 1] = edges[seq >> 1, 3]
     items[:, 2] = dst if t.vert_ids is None else t.vert_ids[dst]
     items[:, 3] = seq & 1
-    return items, np.array(recs, dtype=np.int64).reshape(-1, 4)
+    return items, np.array(recs, dtype=t.offsets.dtype).reshape(-1, 4)

@@ -25,9 +25,10 @@ read through a zero-copy flat int64 ``memoryview``. The emit loop stays
 scalar — the pending-splice check is inherently per emitted vertex, and
 on real workloads pending junctions are dense (level-0 EB cycles touch
 most vertices), so a bulk-slice scheme would degenerate into single-row
-array appends — but it emits into ``array('q')`` buffers that become the
-circuit's arrays without a copy, so the circuit costs 8 bytes per entry
-rather than a Python int and list slot each. :func:`_expand_plain`, which
+array appends — but it writes by index into the circuit's own int64
+arrays, allocated once at their exact size: the anchored cycles' raw-edge
+counts sum to the circuit's length, so nothing grows or is copied, and
+the circuit costs 8 bytes per entry. :func:`_expand_plain`, which
 faces no pending checks, *is* segment-vectorized: contiguous raw-edge runs
 between fragment references are bulk-copied as slices. Each coarse item
 expands exactly once, so the pass is linear in the number of edges either
@@ -36,7 +37,6 @@ way.
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 
 import numpy as np
@@ -125,18 +125,22 @@ def reconstruct_circuit(
     InvariantViolation
         If any anchored cycle is never reached — with a connected Eulerian
         input this cannot happen; it indicates a bug or a disconnected graph
-        that slipped past validation.
+        that slipped past validation — or if the circuit's length differs
+        from the anchored cycles' ``n_edges`` sum (a miscounted store).
     """
     pending = build_pending_index(store, anchored_fids)
     consumed: set[int] = set()
     base_items, base_src = store.body(base_fid)
     consumed.add(base_fid)
 
-    # The circuit is emitted straight into int64 buffers (8 B per entry,
-    # wrapped as arrays without a copy at the end).
-    out_vertices = array("q", [base_src])
-    out_eids = array("q")
-    emit_vertex, emit_eid = out_vertices.append, out_eids.append
+    # Every raw edge lies in exactly one anchored cycle's expansion, so the
+    # cycles' n_edges sum is the circuit's length: its int64 arrays are
+    # allocated once, at that size, and written by index.
+    cycles = np.unique(np.append(np.asarray(anchored_fids, np.int64), base_fid))
+    k = int(store.edge_counts(cycles).sum())
+    vertices = np.empty(k + 1, dtype=np.int64)
+    eids = np.empty(k, dtype=np.int64)
+    vertices[0] = base_src
     stack: list = []  # frames: [flat row-major int64 view of a body, pos]
 
     def push(items: np.ndarray) -> None:
@@ -155,32 +159,42 @@ def reconstruct_circuit(
             items, src = store.body(fid)
             push(_rotate_to(items, src, v))
 
+    vout, eout = memoryview(vertices), memoryview(eids)
+    n = 0  # edges emitted; vertices[n] is the current walk position
     pending_get = pending.get
     push(base_items)
     splice_at(base_src)
-    while stack:
-        frame = stack[-1]
-        body, pos = frame
-        if pos >= len(body):
-            stack.pop()
-            continue
-        frame[1] = pos + 4
-        dst = body[pos + 2]
-        if body[pos] == ITEM_EDGE:
-            emit_eid(body[pos + 1])
-            emit_vertex(dst)
-            if pending_get(dst) is not None:
-                splice_at(dst)
-        else:
-            sub, src = store.body(body[pos + 1])
-            if not body[pos + 3]:
-                sub = _reverse_items(sub, src)
-            push(sub)
-            # The entry vertex was already emitted (it equals the current
-            # walk position); the fragment's own items emit the rest.
+    try:
+        while stack:
+            frame = stack[-1]
+            body, pos = frame
+            if pos >= len(body):
+                stack.pop()
+                continue
+            frame[1] = pos + 4
+            dst = body[pos + 2]
+            if body[pos] == ITEM_EDGE:
+                eout[n] = body[pos + 1]
+                n += 1
+                vout[n] = dst
+                if pending_get(dst) is not None:
+                    splice_at(dst)
+            else:
+                sub, src = store.body(body[pos + 1])
+                if not body[pos + 3]:
+                    sub = _reverse_items(sub, src)
+                push(sub)
+                # The entry vertex was already emitted (it equals the
+                # current walk position); the fragment's own items emit
+                # the rest.
+    except IndexError:
+        if n < k:
+            raise
+        raise InvariantViolation(
+            f"Phase 3 emitted more than {k} edges, the anchored cycles' "
+            "n_edges sum: the fragment store is miscounted"
+        ) from None
 
-    out_vertices = np.frombuffer(out_vertices, dtype=np.int64)
-    out_eids = np.frombuffer(out_eids, dtype=np.int64)
     leftovers = sorted(
         {f for fids in pending.values() for f in fids if f not in consumed}
     )
@@ -191,16 +205,22 @@ def reconstruct_circuit(
         # stranded cycle to raw edges and splice it at any shared vertex;
         # repeat to a fixpoint (a stranded cycle may only touch another
         # stranded cycle's region).
-        out_vertices, out_eids, leftovers = _splice_stranded(
-            store, out_vertices, out_eids, leftovers
+        vertices, eids, leftovers = _splice_stranded(
+            store, vertices[:n + 1], eids[:n], leftovers
         )
+        n = eids.size
     if leftovers:
         raise InvariantViolation(
             f"{len(leftovers)} anchored cycles were never spliced "
             f"(e.g. fragment ids {leftovers[:8]}); the input graph is "
             "disconnected or an invariant was violated"
         )
-    return EulerCircuit(vertices=out_vertices, edge_ids=out_eids)
+    if n != k:
+        raise InvariantViolation(
+            f"Phase 3 emitted {n} edges but the anchored cycles' n_edges "
+            f"sum to {k}: the fragment store is miscounted"
+        )
+    return EulerCircuit(vertices=vertices, edge_ids=eids)
 
 
 def _expand_plain(

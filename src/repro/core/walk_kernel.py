@@ -1,13 +1,18 @@
-"""Native Phase-1 walk: compile ``walk.c`` once, load it with ctypes.
+"""Native Phase-1 walk: compile the kernel library once, load it with ctypes.
 
 :func:`load` returns a callable running the whole Phase-1 walk of one
 partition in C (see ``walk.c``), or ``None`` when no working C compiler
 is available — callers then use the pure-Python reference walk in
 :mod:`repro.core.phase1`, which produces identical bytes.
 
+``kernels.c`` instantiates ``walk.c`` once per index width, so the one
+library has two entry points: ``phase1_walk_i32`` for int32 walk tables
+and ``phase1_walk`` for int64 ones. The loader binds both or neither, and
+the tables' dtype picks the entry point on every call.
+
 The shared library is compiled lazily, on the first call, with the system
-``cc`` and kept in a per-user cache keyed by the hash of the kernel source:
-``$XDG_CACHE_HOME/repro-euler/`` (default ``~/.cache/repro-euler/``), or
+``cc`` and kept in a per-user cache keyed by the hash of every kernel
+source: ``$XDG_CACHE_HOME/repro-euler/`` (default ``~/.cache/repro-euler/``), or
 ``repro-euler-<uid>`` under :func:`tempfile.gettempdir` when that is not
 usable. Cache directories are created ``0o700``; a directory or library
 not owned by the current user is refused, never loaded. Compilation
@@ -42,7 +47,9 @@ __all__ = ["load", "WALK_PATH", "WALK_EB", "WALK_ANCHORED", "WALK_MERGED"]
 #: internal cycle merged into a root at a pivot (not a root itself).
 WALK_PATH, WALK_EB, WALK_ANCHORED, WALK_MERGED = range(4)
 
-_SOURCE = Path(__file__).with_name("walk.c")
+_KERNEL_DIR = Path(__file__).parent
+#: The one translation unit; it includes every other kernel source.
+_UNIT = _KERNEL_DIR / "kernels.c"
 _FLAGS = ("-O2", "-shared", "-fPIC")
 _lock = threading.Lock()
 _resolved: list = []  # [callable or None] once the first load settled it
@@ -72,14 +79,16 @@ def load():
 def _load():
     try:
         lib = ctypes.CDLL(str(_library()))
-    except (OSError, subprocess.SubprocessError):
+        entries = {np.dtype(np.int32): lib.phase1_walk_i32,
+                   np.dtype(np.int64): lib.phase1_walk}
+    except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    fn = lib.phase1_walk
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr,
-                   ptr, ptr]
-    fn.restype = i64
-    return functools.partial(_walk, fn)
+    for fn in entries.values():
+        fn.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr,
+                       ptr, ptr, ptr]
+        fn.restype = i64
+    return functools.partial(_walk, entries)
 
 
 def _owned(path: Path) -> bool:
@@ -88,7 +97,9 @@ def _owned(path: Path) -> bool:
 
 def _library() -> Path:
     """Path of the compiled kernel, compiling it into the cache if needed."""
-    tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode())
+    tag = hashlib.sha256(" ".join(_FLAGS).encode())
+    for source in sorted(_KERNEL_DIR.glob("*.c")):
+        tag.update(source.name.encode() + b"\0" + source.read_bytes())
     name = f"walk-{tag.hexdigest()[:16]}.so"
     for directory in _cache_dirs():
         try:
@@ -112,7 +123,7 @@ def _compile(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=".walk-", suffix=".so", dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run([cc, *_FLAGS, "-o", tmp, str(_SOURCE)], check=True,
+        subprocess.run([cc, *_FLAGS, "-o", tmp, str(_UNIT)], check=True,
                        capture_output=True, timeout=300)
         os.replace(tmp, path)
     finally:
@@ -120,24 +131,34 @@ def _compile(path: Path) -> None:
             os.unlink(tmp)
 
 
-def _ptr(a: np.ndarray) -> int:
-    """Address of a C-contiguous int64 array (anything else is refused)."""
-    if a.dtype != np.int64 or not a.flags.c_contiguous:
-        raise ValueError(f"walk kernel needs C-contiguous int64, got {a.dtype}")
+def _ptr(a: np.ndarray, dtype) -> int:
+    """Address of a C-contiguous ``dtype`` array (anything else is refused)."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError(f"walk kernel needs C-contiguous {np.dtype(dtype)}, "
+                         f"got {a.dtype}")
     return a.ctypes.data
 
 
-def _walk(fn, t, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the kernel on one partition's walk tables (see ``walk.c``)."""
+def _walk(entries, t, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the kernel on one partition's walk tables (see ``walk.c``).
+
+    The tables' width picks the entry point; the walk records come back at
+    that width, the ItemArray as int64.
+    """
     edges = np.ascontiguousarray(edges)
     if edges.shape != (t.m, 4) or t.offsets.size != t.size + 1:
         raise ValueError("walk tables do not match the EdgeTable")
+    width = t.offsets.dtype
+    fn = entries.get(width)
+    if fn is None:
+        raise ValueError(f"walk kernel has no entry point for {width} tables")
     items = np.empty((t.m, 4), dtype=np.int64)
-    recs = np.empty((t.m, 4), dtype=np.int64)  # every walk takes >= 1 edge
-    n = fn(t.m, t.size, _ptr(t.offsets), _ptr(t.slot_enc), _ptr(t.slot_next),
-           _ptr(t.eu_loc), _ptr(t.ob), t.ob.size, _ptr(t.eb), t.eb.size,
-           _ptr(edges), None if t.vert_ids is None else _ptr(t.vert_ids),
-           _ptr(items), _ptr(recs))
+    recs = np.empty((t.m, 4), dtype=width)  # every walk takes >= 1 edge
+    n = fn(t.m, t.size, _ptr(t.offsets, width), _ptr(t.slot_enc, width),
+           _ptr(t.slot_next, width), _ptr(t.eu_loc, width), _ptr(t.ob, width),
+           t.ob.size, _ptr(t.eb, width), t.eb.size, _ptr(edges, np.int64),
+           None if t.vert_ids is None else _ptr(t.vert_ids, width),
+           _ptr(items, np.int64), _ptr(recs, width))
     if n == -1:
         raise MemoryError("Phase-1 walk kernel could not allocate its buffers")
     if n < 0:

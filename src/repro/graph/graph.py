@@ -23,7 +23,21 @@ import numpy as np
 
 from .csr import build_csr
 
-__all__ = ["Graph", "GraphBuilder"]
+__all__ = ["Graph", "GraphBuilder", "index_dtype"]
+
+
+def index_dtype(n_ids: int, n_edges: int) -> type[np.signedinteger]:
+    """The storage width of a run's vertex-, edge- and slot-index tables.
+
+    ``np.int32`` when every vertex id is below 2**31 (``n_ids`` is one past
+    the largest) and the half-edge slot codes ``edge << 1 | forward`` fit,
+    i.e. ``2 * n_edges < 2**31``; ``np.int64`` otherwise. Only storage
+    narrows: arithmetic on these tables stays 64-bit, and tables that carry
+    fragment ids, like every output, stay ``int64``.
+    """
+    if n_ids <= 1 << 31 and 2 * n_edges < 1 << 31:
+        return np.int32
+    return np.int64
 
 
 class Graph:

@@ -26,12 +26,14 @@ from repro.bsp import (
     make_executor,
     shm,
 )
-from repro.core import find_euler_circuit, verify_circuit, walk_kernel
+from repro.core import find_euler_circuit, phase1, verify_circuit, walk_kernel
 from repro.errors import UnknownExecutorError
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs.remote import WorkerHost
 from repro.pipeline import RunConfig, run_pipeline
+from repro.pipeline import program as pipeline_program
+from repro.pipeline import setup as pipeline_setup
 
 BACKENDS = sorted(EXECUTORS)  # process, remote, serial, thread
 
@@ -218,6 +220,66 @@ def test_seed_goldens_on_both_phase1_walks(golden_graphs, case, walk,
         golden_graphs[case.split("/")[0]], n_parts=4, seed=0,
         strategy=strategy, validate=True, verify=True,
     )
+    _check_golden(case, res)
+
+
+_WALK_TABLES = ("offsets", "slot_enc", "slot_next", "eu_loc", "ob", "eb",
+                "vert_ids")
+
+
+@pytest.mark.parametrize("case", ["rmat10/eager-p4", "rmat10/proposed-p4"])
+def test_run_tables_are_int32_and_keep_the_goldens(golden_graphs, case,
+                                                   monkeypatch):
+    """On an ordinary graph every non-empty held index table of a run is
+    int32 — the level-0 held rows, each merged state's held rows, the
+    deferred extras and the Phase-1 walk tables — and the circuit and
+    census still match their goldens."""
+    seen: dict[str, set] = {}
+
+    def note(table, *arrays):
+        seen.setdefault(table, set()).update(
+            a.dtype for a in arrays if a is not None and a.size)
+
+    setup_run = pipeline_setup.Setup.run
+
+    def recording_setup(self, graph, ctx):
+        program = setup_run(self, graph, ctx)
+        note("held0", *program.held0.values())
+        note("extras", *program.extras.values())
+        return program
+
+    merge = pipeline_program.merge_states
+
+    def recording_merge(*args, **kwargs):
+        out = merge(*args, **kwargs)
+        note("merged held", out[0].held)
+        return out
+
+    build = phase1._build_walk_tables
+
+    def recording_build(edges, rdeg):
+        tables = build(edges, rdeg)
+        note("walk tables", *(getattr(tables, n) for n in _WALK_TABLES))
+        return tables
+
+    monkeypatch.setattr(pipeline_setup.Setup, "run", recording_setup)
+    monkeypatch.setattr(pipeline_program, "merge_states", recording_merge)
+    monkeypatch.setattr(phase1, "_build_walk_tables", recording_build)
+    monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)  # build every table
+    strategy = case.split("/")[1].rsplit("-", 1)[0]
+    res = find_euler_circuit(
+        golden_graphs["rmat10"], n_parts=4, seed=0, strategy=strategy,
+        validate=True, verify=True,
+    )
+    int32 = {np.dtype(np.int32)}
+    expected = {"held0": int32, "walk tables": int32}
+    if strategy == "proposed":
+        # Deferred rows ship in as extras at the merge that makes them
+        # local, so every merged state's held table is empty.
+        expected["extras"] = int32
+    else:
+        expected["merged held"] = int32
+    assert {k: v for k, v in seen.items() if v} == expected
     _check_golden(case, res)
 
 

@@ -11,6 +11,7 @@ from repro.core.improvements import (
 )
 from repro.core.merge_tree import build_merge_tree
 from repro.generate.synthetic import paper_figure1_graph, random_eulerian
+from repro.graph.graph import index_dtype
 from repro.graph.metagraph import build_metagraph
 from repro.graph.partition import PartitionedGraph
 from repro.partitioning import partition
@@ -88,8 +89,9 @@ def test_placement_rows_ascend_by_eid_and_match_reference(dedup):
     plan = plan_remote_placement(pg, tree, dedup=dedup)
     reference = _reference_rows(pg, dedup)
     assert set(plan.rows_for) == set(reference)
+    width = index_dtype(g.n_vertices, g.n_edges)
     for pid, rows in plan.rows_for.items():
-        assert rows.dtype == np.int64 and rows.shape[1] == 4
+        assert rows.dtype == width and rows.shape[1] == 4
         assert bool(np.all(np.diff(rows[:, 2]) > 0)), pid
         assert rows.tolist() == [list(r) for r in reference[pid]], pid
 
@@ -99,14 +101,16 @@ def test_merge_levels_match_tree(fig1):
     plan = plan_remote_placement(pg, tree, dedup=False)
     # Fig. 2: P3-P4 and P1-P2 merge at level 0; cross edges at level 1.
     u, v = pg.graph.edge_u, pg.graph.edge_v
-    for eid, level in plan.merge_level.items():
+    levels = plan.merge_level_by_eid
+    assert np.flatnonzero(levels >= 0).tolist() == np.flatnonzero(~pg.local_mask).tolist()
+    for eid in np.flatnonzero(levels >= 0).tolist():
         a, b = int(pg.part_of[u[eid]]), int(pg.part_of[v[eid]])
-        assert level == tree.merge_level_of(a, b)
+        assert levels[eid] == tree.merge_level_of(a, b)
     # e6,11 (P3-P4, edge id 9) merges at level 0.
-    assert plan.merge_level[9] == 0
+    assert levels[9] == 0
     # e2,3 (P1-P2, edge id 1) merges at level 0; e3,13 (P2-P4, id 5) at level 1.
-    assert plan.merge_level[1] == 0
-    assert plan.merge_level[5] == 1
+    assert levels[1] == 0
+    assert levels[5] == 1
 
 
 def test_deferred_store_ship_and_residency():

@@ -155,8 +155,9 @@ def test_tables_above_a_sixteenth_of_the_budget_are_not_cached(monkeypatch):
 
 def test_byte_budget_bounds_dense_tables_over_a_large_id_space(monkeypatch):
     """Dense tables are O(id space), not O(edges): a few edges among ids
-    near 2^16 make ~1 MB tables, and the byte budget must still hold."""
-    budget = 16 << 20  # ~0.5 MB tables: each admitted, ~32 fit
+    near 2^16 make ~0.25 MB int32 tables, and the byte budget must still
+    hold."""
+    budget = 8 << 20  # ~0.25 MB tables: each admitted, ~32 fit
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", budget)
     top = (1 << 16) - 1
     for k in range(40):

@@ -156,3 +156,21 @@ def test_reconstruct_with_spilled_fragments(tmp_path, triangle):
     store.spill(f.fid)
     c = reconstruct_circuit(store, [f.fid], f.fid)
     verify_circuit(triangle, c)
+
+
+@pytest.mark.parametrize(
+    "declared, match",
+    [(2, "emitted more than 2 edges"), (4, "emitted 3 edges .* sum to 4")],
+    ids=["2", "4"],
+)
+def test_miscounted_store_raises_invariant_violation(declared, match):
+    """The circuit's arrays are sized once from the cycles' n_edges sum: a
+    store whose bodies emit more (or fewer) edges than that sum fails
+    naming the sum, never with an IndexError."""
+    store = FragmentStore()
+    f = store.new_fragment(
+        KIND_CYCLE, 0, 0, 0, 0,
+        [(ITEM_EDGE, 0, 1), (ITEM_EDGE, 1, 2), (ITEM_EDGE, 2, 0)], declared,
+    )
+    with pytest.raises(InvariantViolation, match=match):
+        reconstruct_circuit(store, [f.fid], f.fid)

@@ -3,9 +3,10 @@
 ``run_phase1`` runs its walk in C when the kernel loads and in Python
 otherwise. Both must produce the same bytes — PathMap, stats and every
 fragment body — on any input, including ones that violate the lemmas
-(where ``validate=True`` must raise the same error). The loader must fall
-back silently when no compiler works, survive concurrent first uses, keep
-its cache private and refuse a library it does not own.
+(where ``validate=True`` must raise the same error), and the kernel's
+int32 and int64 entry points must walk the same tables identically. The
+loader must fall back silently when no compiler works, survive concurrent
+first uses, keep its cache private and refuse a library it does not own.
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro
-from repro.core import walk_kernel
+from repro.core import phase1, walk_kernel
 from repro.core.pathmap import ITEM_EDGE, KIND_PATH, FragmentStore
-from repro.core.phase1 import EDGE_COARSE, EDGE_RAW, run_phase1
+from repro.core.phase1 import (
+    EDGE_COARSE,
+    EDGE_RAW,
+    edge_table,
+    remote_deg_table,
+    run_phase1,
+)
 from repro.errors import InvariantViolation
 from repro.generate.synthetic import random_eulerian
 from repro.graph.partition import PartitionedGraph
@@ -142,6 +149,62 @@ def test_kernel_matches_reference(case, validate):
     with reference_walk():
         reference = _outcome(case, validate)
     assert native == reference
+
+
+def _tables_at_both_widths(case):
+    """The case's EdgeTable, its walk tables at the run width, and the same
+    tables cast to int64."""
+    _, _, rows, _, rdeg = case
+    edges = edge_table(rows)
+    narrow = phase1._build_walk_tables(edges, remote_deg_table(rdeg))
+    wide = phase1._WalkTables()
+    for name in phase1._WalkTables.__slots__:
+        value = getattr(narrow, name)
+        if isinstance(value, np.ndarray) and name != "bnd_ids":
+            value = value.astype(np.int64)
+        setattr(wide, name, value)
+    return edges, narrow, wide
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=st.one_of(arbitrary_graphs(), partition_views()))
+@example(case=MERGE_SHAPES[0])
+@example(case=MERGE_SHAPES[1])
+@example(case=MERGE_SHAPES[2])
+def test_both_widths_walk_identically(case):
+    """The int32 entry point, the int64 entry point on the same tables cast
+    to int64, and the reference walk at both widths return the same
+    ItemArray bytes and walk records; the records keep the tables' width."""
+    _require_native()
+    edges, narrow, wide = _tables_at_both_widths(case)
+    assert narrow.offsets.dtype == np.int32  # every id here fits
+    kernel = walk_kernel.load()
+    items, recs = kernel(narrow, edges)
+    assert recs.dtype == np.int32 and items.dtype == np.int64
+    for tables, walk in ((wide, kernel), (narrow, phase1._walk_reference),
+                         (wide, phase1._walk_reference)):
+        other_items, other_recs = walk(tables, edges)
+        assert other_items.dtype == np.int64
+        assert other_items.tobytes() == items.tobytes()
+        assert other_recs.dtype == tables.offsets.dtype
+        assert other_recs.tolist() == recs.tolist()
+
+
+def test_ids_beyond_int32_walk_at_int64():
+    """Tables whose ids do not fit 31 bits are built at int64 and walk
+    through the int64 entry point like the reference."""
+    big = 1 << 31
+    rows = [(big, big + 7, EDGE_RAW, 0), (big + 7, 5, EDGE_RAW, 1),
+            (5, big, EDGE_RAW, 2)]
+    edges = edge_table(rows)
+    tables = phase1._build_walk_tables(edges, remote_deg_table({}))
+    assert tables.vert_ids is not None and tables.offsets.dtype == np.int64
+    reference = phase1._walk_reference(tables, edges)
+    _require_native()
+    native = walk_kernel.load()(tables, edges)
+    assert native[0].tobytes() == reference[0].tobytes()
+    assert native[1].tobytes() == reference[1].tobytes()
+    assert sorted(native[0][:, 2].tolist()) == [5, big, big + 7]
 
 
 def test_lemma_violation_raises_the_same_error_on_both_paths():

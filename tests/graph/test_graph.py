@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.graph import Graph, GraphBuilder
+from repro.graph.graph import Graph, GraphBuilder, index_dtype
 
 
 def test_empty():
@@ -113,3 +113,10 @@ def test_builder_rejects_negative():
     b = GraphBuilder()
     with pytest.raises(ValueError):
         b.add_edge(-1, 0)
+
+
+def test_index_dtype_narrows_only_when_ids_and_slot_codes_fit():
+    assert index_dtype(0, 0) is np.int32
+    assert index_dtype(1 << 31, (1 << 30) - 1) is np.int32  # ids < 2**31, 2m < 2**31
+    assert index_dtype((1 << 31) + 1, 10) is np.int64  # id 2**31 does not fit
+    assert index_dtype(10, 1 << 30) is np.int64  # CSR offsets reach 2m = 2**31

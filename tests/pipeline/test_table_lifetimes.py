@@ -195,12 +195,12 @@ def _traced_run(monkeypatch):
 
 
 def test_run_peak_stays_within_a_per_edge_budget(monkeypatch):
-    """Traced peak of one in-process run: ~144 bytes per edge with the
-    fragment store as one block per Phase-1 run and placement built per
-    partition (~165 with an object per fragment and a sorted placement;
-    the duplicated and pinned tables before that took ~390)."""
+    """Traced peak of one in-process run: ~98 bytes per edge with int32
+    held rows and Phase-1 walk tables and exact-size Phase-3 outputs
+    (~144 with int64 tables; ~165 with an object per fragment and a sorted
+    placement; the duplicated and pinned tables before that took ~390)."""
     m, _, peak = _traced_run(monkeypatch)
-    assert peak <= 155 * m
+    assert peak <= 105 * m
 
 
 def test_finished_run_retains_its_blocks_not_per_fragment_objects(monkeypatch):
