@@ -32,7 +32,10 @@ paper's Spark cluster:
     (:mod:`repro.bsp.transport`) whose packed int64 columns ship raw,
     out-of-band of the meta pickle; the superstep program installs once
     per host as one frame whose tables ship the same way, and partitions
-    pin to hosts via :class:`~repro.bsp.transport.StaticPlacement`.
+    pin to hosts via :class:`~repro.bsp.transport.StaticPlacement`. Replies
+    are read on the calling thread, the one that runs Setup and Phase 3,
+    so the blocks they carry land in the memory that thread already holds;
+    one long-lived sender thread per host writes the task frames.
 
 Each backend has exactly one wire: serial and thread pass tasks and
 result triples by reference, the process pool pickles them through its
@@ -48,6 +51,8 @@ this end-to-end.
 from __future__ import annotations
 
 import pickle
+import queue
+import selectors
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -215,6 +220,17 @@ class RemoteExecutor(_Closable):
     this executor's connection; a task on a connection without one fails
     with :class:`~repro.errors.BSPError`.
 
+    Replies are received on the thread that calls :meth:`run_superstep`
+    (the one that ran Setup and will run Phase 3): one selector loop over
+    the host sockets reads whole frames in the order they arrive, so the
+    returned blocks are allocated where the rest of the run allocates and
+    reuse the memory Setup freed. Tasks are encoded on that thread too and
+    go out through one long-lived sender thread per host, started by
+    :meth:`start`; sending and receiving overlap, so frames larger than
+    the socket buffers cannot deadlock the host against the coordinator.
+    :meth:`close` shuts the sockets down, which wakes a sender blocked
+    mid-frame, and joins the senders.
+
     A host that disconnects mid-superstep raises
     :class:`~repro.errors.TransientJobError`: partition state for its shard
     is lost, so the *run* cannot be salvaged — but the job level can and
@@ -236,7 +252,10 @@ class RemoteExecutor(_Closable):
         self.connect_timeout = connect_timeout
         self.placement = transport_mod.StaticPlacement(len(addrs))
         self._conns: list[transport_mod.FrameConnection] = []
-        self._pool: ThreadPoolExecutor | None = None
+        #: Per host slot: the sender thread and its queue of
+        #: ``(connection, encoded frame)`` pairs (``None`` stops it).
+        self._senders: list[threading.Thread] = []
+        self._outboxes: list[queue.SimpleQueue] = []
         #: Scoped wire accounting for this executor's task frames.
         self.wire = transport_mod.WireStats(scope="remote_executor")
 
@@ -262,7 +281,14 @@ class RemoteExecutor(_Closable):
         except BaseException:
             self.close()
             raise
-        self._pool = ThreadPoolExecutor(max_workers=len(self._conns))
+        for slot in range(len(self._conns)):
+            outbox: queue.SimpleQueue = queue.SimpleQueue()
+            sender = threading.Thread(
+                target=_send_loop, args=(outbox,),
+                name=f"remote-send-{slot}", daemon=True)
+            sender.start()
+            self._outboxes.append(outbox)
+            self._senders.append(sender)
 
     def _request(self, conn: "transport_mod.FrameConnection", msg: dict) -> dict:
         try:
@@ -273,62 +299,36 @@ class RemoteExecutor(_Closable):
             ) from exc
 
     def run_superstep(self, tasks: list[SuperstepTask]) -> list:
-        assert self._pool is not None, "start() must be called before supersteps"
+        assert self._senders, "start() must be called before supersteps"
         groups = self.placement.group(tasks)
-        futures = {slot: self._pool.submit(self._run_host, slot, group)
-                   for slot, group in groups.items()}
-        out: list = []
-        first_error: BaseException | None = None
-        for slot in sorted(futures):
-            try:
-                out.extend(futures[slot].result())
-            except BaseException as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return out
-
-    def _run_host(self, slot: int, tasks: list[SuperstepTask]) -> list:
-        conn = self._conns[slot]
-        # The task burst is pumped from a helper thread while this thread
-        # drains replies. Sending everything first and only then receiving
-        # deadlocks once frames outgrow the socket buffers: the host blocks
-        # sending reply 1 to a peer that is itself blocked sending task 2.
-        # Draining concurrently means the host's replies always have a
-        # reader, so its recv loop always makes progress.
-        send_err: list[BaseException] = []
-
-        def pump():
-            try:
-                for t in tasks:
-                    conn.send({"op": "task", "task": t})
-            except BaseException as exc:
-                send_err.append(exc)
-
-        sender = threading.Thread(
-            target=pump, name=f"remote-send-{slot}", daemon=True)
-        sender.start()
-        try:
-            replies = [conn.recv() for _ in tasks]
-        except (EOFError, OSError) as exc:
-            # The sender may still be blocked mid-frame; closing the
-            # connection (the caller's error path) unblocks it.
-            raise TransientJobError(
-                f"worker host {conn.addr} disconnected mid-superstep: {exc}"
-            ) from exc
-        # All replies arrived, so the host consumed every task frame and
-        # the sender is finished (or completing its final buffered write).
-        sender.join()
-        if send_err:
-            exc = send_err[0]
-            if isinstance(exc, (EOFError, OSError)):
-                raise TransientJobError(
-                    f"worker host {conn.addr} disconnected mid-superstep: "
-                    f"{exc}"
-                ) from exc
-            raise exc
-        return [self._unpack(conn, t, r) for t, r in zip(tasks, replies)]
+        # Every frame is encoded before any is sent, so a task that cannot
+        # be pickled, or whose frame would exceed the cap, fails the
+        # superstep with no host left owing a reply.
+        frames = {slot: [transport_mod.encode_frame({"op": "task", "task": t})
+                         for t in group]
+                  for slot, group in groups.items()}
+        replies: dict[int, list] = {slot: [] for slot in groups}
+        with selectors.DefaultSelector() as ready:
+            for slot, encoded in frames.items():
+                conn = self._conns[slot]
+                ready.register(conn.sock, selectors.EVENT_READ, (slot, conn))
+                for frame in encoded:
+                    self._outboxes[slot].put((conn, frame))
+            while ready.get_map():
+                for key, _ in ready.select():
+                    slot, conn = key.data
+                    try:
+                        replies[slot].append(conn.recv())
+                    except (EOFError, OSError) as exc:
+                        raise TransientJobError(
+                            f"worker host {conn.addr} disconnected "
+                            f"mid-superstep: {exc}"
+                        ) from exc
+                    if len(replies[slot]) == len(groups[slot]):
+                        ready.unregister(conn.sock)
+        return [self._unpack(self._conns[slot], task, reply)
+                for slot in sorted(groups)
+                for task, reply in zip(groups[slot], replies[slot])]
 
     def _unpack(self, conn, task: SuperstepTask, reply: dict):
         if reply.get("ok"):
@@ -348,12 +348,32 @@ class RemoteExecutor(_Closable):
         )
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for conn in self._conns:
+            conn.shutdown()
+        for outbox in self._outboxes:
+            outbox.put(None)
+        for sender in self._senders:
+            sender.join()
         for conn in self._conns:
             conn.close()
-        self._conns = []
+        self._conns, self._senders, self._outboxes = [], [], []
+
+
+def _send_loop(outbox: "queue.SimpleQueue") -> None:
+    """A remote sender thread: write each queued frame until ``None``.
+
+    A failed write shuts its connection down, so the receiving loop reads
+    end-of-stream from that host instead of waiting for replies to tasks
+    that never left.
+    """
+    for conn, frame in iter(outbox.get, None):
+        try:
+            conn.write(frame)
+        except OSError:
+            conn.shutdown()
+        # The frame's buffers are the task's own arrays: an idle sender
+        # must not keep the last state it sent alive.
+        del frame
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from ..errors import FrameTooLargeError
 from ..obs import get_registry
 
 __all__ = [
@@ -54,14 +55,16 @@ __all__ = [
     "send_frame",
     "slot_of",
     "wire_stats",
+    "write_frame",
 ]
 
 _MAGIC = b"REF1"
 _HEADER = struct.Struct("<4sIQ")
 _BUFLEN = struct.Struct("<Q")
 
-#: Hard ceiling on a single frame (1 GiB) — a corrupted or hostile length
-#: prefix must not become an allocation bomb.
+#: Hard ceiling on a single frame (1 GiB), header, meta and buffers
+#: together — a corrupted or hostile length prefix must not become an
+#: allocation bomb. Senders refuse a larger frame before writing it.
 MAX_FRAME_BYTES = 1 << 30
 
 
@@ -211,7 +214,9 @@ def encode_frame(obj: Any) -> tuple[list, int, int]:
 
     ``parts`` is a list of bytes-like chunks to be written in order —
     nothing is concatenated, so the raw array buffers are never copied
-    into an intermediate bytestring.
+    into an intermediate bytestring. Raises
+    :class:`~repro.errors.FrameTooLargeError` when ``total`` exceeds
+    :data:`MAX_FRAME_BYTES`, which the receiver would refuse.
     """
     buffers: list = []
     sink = io.BytesIO()
@@ -227,6 +232,9 @@ def encode_frame(obj: Any) -> tuple[list, int, int]:
         parts.append(r if r.contiguous else bytes(r))
         total += _BUFLEN.size + n
         buffer_bytes += n
+    if total > MAX_FRAME_BYTES:
+        raise FrameTooLargeError(
+            f"frame of {total} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
     return parts, total, buffer_bytes
 
 
@@ -258,7 +266,13 @@ def send_frame(sock: socket.socket, obj: Any, stats=None) -> int:
     accumulator is charged *instead of* (not in addition to) the global
     one — that exclusivity is the double-counting fix.
     """
-    parts, total, buffer_bytes = encode_frame(obj)
+    return write_frame(sock, encode_frame(obj), stats)
+
+
+def write_frame(sock: socket.socket, frame: tuple, stats=None) -> int:
+    """Write one frame :func:`encode_frame` already encoded; as
+    :func:`send_frame` otherwise."""
+    parts, total, buffer_bytes = frame
     for part in parts:
         sock.sendall(part)
     (stats if stats is not None else WIRE).add(total, buffer_bytes)
@@ -281,21 +295,29 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
 def recv_frame(sock: socket.socket) -> Any:
     """Read one frame from a connected socket (blocking).
 
-    Raises ``EOFError`` when the peer closed cleanly between frames, and
-    ``ValueError`` on a corrupt header.
+    Raises ``EOFError`` when the peer closed cleanly between frames,
+    ``ValueError`` on a corrupt header, and
+    :class:`~repro.errors.FrameTooLargeError` (a ``ValueError``) on a
+    frame whose header, meta and buffers together would exceed
+    :data:`MAX_FRAME_BYTES`; each part is counted before it is allocated.
     """
     header = _recv_exact(sock, _HEADER.size)
     magic, n_buffers, meta_len = _HEADER.unpack(bytes(header))
     if magic != _MAGIC:
         raise ValueError(f"bad frame magic {magic!r}")
-    if meta_len > MAX_FRAME_BYTES:
-        raise ValueError(f"frame meta too large ({meta_len} bytes)")
+    size = _HEADER.size + meta_len + n_buffers * _BUFLEN.size
+    if size > MAX_FRAME_BYTES:
+        raise FrameTooLargeError(f"frame too large (meta {meta_len} bytes, "
+                                 f"{n_buffers} buffers)")
     meta = _recv_exact(sock, meta_len)
     buffers = []
     for _ in range(n_buffers):
         (n,) = _BUFLEN.unpack(bytes(_recv_exact(sock, _BUFLEN.size)))
-        if n > MAX_FRAME_BYTES:
-            raise ValueError(f"frame buffer too large ({n} bytes)")
+        size += n
+        if size > MAX_FRAME_BYTES:
+            raise FrameTooLargeError(
+                f"frame too large (buffer {len(buffers)} of {n} bytes "
+                f"takes it past {MAX_FRAME_BYTES})")
         buffers.append(_recv_exact(sock, n))
     return _load_meta(meta, buffers)
 
@@ -350,7 +372,7 @@ def connect(addr: tuple[str, int], timeout: float | None = 10.0) -> socket.socke
 
 
 class FrameConnection:
-    """One framed peer connection: ``send``/``recv``/``request``.
+    """One framed peer connection: ``send``/``write``/``recv``/``request``.
 
     Send and receive sides carry independent locks so a pipelined caller
     (send N frames, then collect N replies) can overlap directions; callers
@@ -375,6 +397,11 @@ class FrameConnection:
         with self._send_lock:
             return send_frame(self.sock, obj, stats=self.stats)
 
+    def write(self, frame: tuple) -> int:
+        """Send a frame :func:`encode_frame` already encoded."""
+        with self._send_lock:
+            return write_frame(self.sock, frame, stats=self.stats)
+
     def recv(self, timeout: float | None = None) -> Any:
         """Receive one frame; ``socket.timeout`` when ``timeout`` elapses."""
         with self._recv_lock:
@@ -389,6 +416,14 @@ class FrameConnection:
     def request(self, obj: Any, timeout: float | None = None) -> Any:
         self.send(obj)
         return self.recv(timeout)
+
+    def shutdown(self) -> None:
+        """End both directions: a thread blocked sending on this
+        connection wakes with an error, a reader sees end-of-stream."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed, or the peer reset it
+            pass
 
     def close(self) -> None:
         try:

@@ -14,7 +14,9 @@ Phase 1 "persisted to disk") and the pathMaps, from which two things follow:
   emits a vertex with pending cycles, it switches to unrolling the pending
   cycle (rotated to start there) and resumes afterwards — "recursively
   unrolling edges of a different path or cycle passing through this pivot
-  vertex and created at a lower level".
+  vertex and created at a lower level". The base cycle is not indexed: the
+  unroll starts on it, so no splice could push it, and on R-MAT inputs it
+  passes through nearly every junction.
 
 The unroll consumes ItemArrays (packed ``int64 (n, 4)`` bodies, see
 :mod:`repro.core.pathmap`), each a row slice of its Phase-1 run's block
@@ -23,8 +25,8 @@ object is built. Fragment reversal and rotation are pure array
 ops (:func:`_reverse_items` / :func:`_rotate_to`), and each pushed body is
 read through a zero-copy flat int64 ``memoryview``. The emit loop stays
 scalar — the pending-splice check is inherently per emitted vertex, and
-on real workloads pending junctions are dense (level-0 EB cycles touch
-most vertices), so a bulk-slice scheme would degenerate into single-row
+pending junctions can be dense (torus grids: ~40% of the vertices, base
+excluded), so a bulk-slice scheme would degenerate into single-row
 array appends — but it writes by index into the circuit's own int64
 arrays, allocated once at their exact size: the anchored cycles' raw-edge
 counts sum to the circuit's length, so nothing grows or is copied, and
@@ -128,7 +130,8 @@ def reconstruct_circuit(
         that slipped past validation — or if the circuit's length differs
         from the anchored cycles' ``n_edges`` sum (a miscounted store).
     """
-    pending = build_pending_index(store, anchored_fids)
+    if store.kind_of(base_fid) != KIND_CYCLE:
+        raise InvariantViolation(f"base fragment {base_fid} is not a cycle")
     consumed: set[int] = set()
     base_items, base_src = store.body(base_fid)
     consumed.add(base_fid)
@@ -138,6 +141,7 @@ def reconstruct_circuit(
     # allocated once, at that size, and written by index.
     cycles = np.unique(np.append(np.asarray(anchored_fids, np.int64), base_fid))
     k = int(store.edge_counts(cycles).sum())
+    pending = build_pending_index(store, cycles[cycles != base_fid])
     vertices = np.empty(k + 1, dtype=np.int64)
     eids = np.empty(k, dtype=np.int64)
     vertices[0] = base_src

@@ -65,6 +65,15 @@ class BSPError(ReproError):
     """Raised for misuse of the BSP engine (e.g. messaging a dead partition)."""
 
 
+class FrameTooLargeError(ReproError, ValueError):
+    """A wire frame exceeds :data:`repro.bsp.transport.MAX_FRAME_BYTES`.
+
+    Raised by the sender before any byte is written, and by the receiver
+    before the part that crosses the cap is allocated. Not transient: the
+    same input encodes to the same frame on every retry.
+    """
+
+
 class UnknownExecutorError(ReproError, ValueError):
     """An executor spec names a backend that does not exist.
 

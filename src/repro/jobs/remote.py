@@ -55,7 +55,7 @@ from pathlib import Path
 from ..bsp import shm
 from ..bsp import transport as frame
 from ..bsp.executors import run_task
-from ..errors import TransientJobError
+from ..errors import FrameTooLargeError, TransientJobError
 from .catalog import GraphCatalog, shard_of
 from .dispatch import _describe, _serve_spec
 from .supervise import SupervisedPool
@@ -191,7 +191,14 @@ class WorkerHost:
                 except Exception as exc:  # must never kill the connection
                     reply = {"ok": False, "error": _describe(exc)}
                 try:
-                    frame.send_frame(sock, reply, stats=self.wire)
+                    encoded = frame.encode_frame(reply)
+                except FrameTooLargeError as exc:
+                    # Refused before a byte is written: the coordinator
+                    # gets the reason instead of a dropped connection.
+                    encoded = frame.encode_frame(
+                        {"ok": False, "error": _describe(exc)})
+                try:
+                    frame.write_frame(sock, encoded, stats=self.wire)
                 except OSError:
                     return
                 if op == "shutdown":

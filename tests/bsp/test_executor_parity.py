@@ -312,29 +312,37 @@ def test_remote_frames_larger_than_socket_buffers_do_not_deadlock(tmp_path):
     down one socket per host. Sending the whole burst before reading any
     reply deadlocks once frames outgrow the kernel socket buffers — the
     host blocks sending reply 1 to a peer still blocked sending task 2.
-    Replies must be drained concurrently with the send pump."""
+    Replies must be drained concurrently with the sending: with one host,
+    and with two, whose reply frames interleave on one receiving loop."""
     import threading
 
     from repro.bsp.executors import RemoteExecutor
 
-    big = np.arange(1 << 21, dtype=np.int64)  # 16 MiB per state, each way
-    with WorkerHost(tmp_path / "h") as host:
-        ex = RemoteExecutor([host.address])
-        try:
-            ex.start(EchoState())
-            tasks = [(pid, {"arr": big + pid}, [], 0) for pid in range(3)]
-            done: dict = {}
+    big = np.arange(1 << 21, dtype=np.int64)  # 16 MiB per frame, each way
+    with WorkerHost(tmp_path / "h0") as h0, WorkerHost(tmp_path / "h1") as h1:
+        for addrs in ([h0.address], [h0.address, h1.address]):
+            ex = RemoteExecutor(addrs)
+            try:
+                ex.start(EchoState())
+                pids = range(2 * len(addrs) + 1)
+                # A distinct zero-copy view per task: each reply must carry
+                # its own frame's buffer back, not another task's.
+                tasks = [(pid, {"arr": big[pid:], "pid": pid}, [], 0)
+                         for pid in pids]
+                done: dict = {}
 
-            def run():
-                done["out"] = ex.run_superstep(tasks)
+                def run():
+                    done["out"] = ex.run_superstep(tasks)
 
-            t = threading.Thread(target=run, daemon=True)
-            t.start()
-            t.join(timeout=120)
-            assert not t.is_alive(), "remote superstep deadlocked"
-            out = sorted(done["out"])
-            assert [pid for pid, _, _ in out] == [0, 1, 2]
-            for pid, _, res in out:
-                np.testing.assert_array_equal(res.state["arr"], big + pid)
-        finally:
-            ex.close()
+                t = threading.Thread(target=run, daemon=True)
+                t.start()
+                t.join(timeout=120)
+                assert not t.is_alive(), f"remote superstep deadlocked on {len(addrs)} host(s)"
+                out = sorted(done.pop("out"), key=lambda triple: triple[0])
+                assert [pid for pid, _, _ in out] == list(pids)
+                for pid, _, res in out:
+                    assert res.state["pid"] == pid
+                    np.testing.assert_array_equal(res.state["arr"], big[pid:])
+                del out
+            finally:
+                ex.close()

@@ -8,6 +8,7 @@ guards, host-spec parsing and the stable pid → slot map.
 
 from __future__ import annotations
 
+import pickle
 import socket
 import struct
 import threading
@@ -83,6 +84,35 @@ def test_recv_rejects_allocation_bomb():
     finally:
         a.close()
         b.close()
+
+
+def test_recv_rejects_buffers_that_sum_past_the_cap(monkeypatch):
+    """The cap holds for the whole frame: buffers each under it but
+    together over it are refused at the length prefix that crosses it,
+    before that buffer is allocated."""
+    cap = 4096
+    monkeypatch.setattr(tr, "MAX_FRAME_BYTES", cap)
+    allocated = []
+    recv_exact = tr._recv_exact
+
+    def recording(sock, n):
+        allocated.append(n)
+        return recv_exact(sock, n)
+
+    monkeypatch.setattr(tr, "_recv_exact", recording)
+    meta = pickle.dumps(None, protocol=5)
+    chunk = cap // 2  # header + meta + two of these is past the cap
+    a, b = socket.socketpair()
+    try:
+        a.sendall(struct.Struct("<4sIQ").pack(b"REF1", 3, len(meta)) + meta)
+        for _ in range(3):
+            a.sendall(struct.pack("<Q", chunk) + bytes(chunk))
+        with pytest.raises(ValueError, match="too large"):
+            tr.recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+    assert allocated.count(chunk) == 1
 
 
 def test_send_recv_over_socketpair_and_wire_stats():

@@ -1,8 +1,11 @@
 """Tests for Phase 3 reconstruction (the part the paper deferred)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import phase1
 from repro.core.circuit import verify_circuit
 from repro.core.pathmap import (
     ITEM_EDGE,
@@ -14,7 +17,9 @@ from repro.core.pathmap import (
 )
 from repro.core.phase3 import _reverse_items, _rotate_to, build_pending_index, reconstruct_circuit
 from repro.errors import InvariantViolation
+from repro.generate.eulerize import eulerian_rmat
 from repro.graph.graph import Graph
+from repro.pipeline import RunConfig, run_pipeline
 
 
 def test_reverse_items_edges():
@@ -59,6 +64,8 @@ def test_pending_index_rejects_paths():
     f = store.new_fragment(KIND_PATH, 0, 0, 1, 2, [(ITEM_EDGE, 0, 2)], 1)
     with pytest.raises(InvariantViolation):
         build_pending_index(store, [f.fid])
+    with pytest.raises(InvariantViolation, match="not a cycle"):
+        reconstruct_circuit(store, [f.fid], f.fid)  # nor can a path be the base
 
 
 def test_reconstruct_single_cycle(triangle):
@@ -174,3 +181,23 @@ def test_miscounted_store_raises_invariant_violation(declared, match):
     )
     with pytest.raises(InvariantViolation, match=match):
         reconstruct_circuit(store, [f.fid], f.fid)
+
+
+def test_phase3_peak_above_its_inputs_stays_within_a_per_edge_budget(monkeypatch):
+    """Traced peak of one ``reconstruct_circuit`` call on a scale-12 R-MAT
+    store, above the store it reads: the int64 outputs alone take 16 bytes
+    per edge, and with the base cycle left out of the pending index the
+    call peaks near 18."""
+    monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)
+    g = eulerian_rmat(12, avg_degree=8.0, seed=3)[0]
+    ctx = run_pipeline(Graph(g.n_vertices, g.edge_u, g.edge_v), RunConfig(n_parts=8))
+    fids, levels = ctx.store.cycles()
+    base = int(fids[levels == levels.max()][0])
+    tracemalloc.start()
+    try:
+        circuit = reconstruct_circuit(ctx.store, fids, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(circuit.edge_ids, ctx.circuit.edge_ids)
+    assert peak <= 24 * g.n_edges

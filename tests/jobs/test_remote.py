@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -24,12 +25,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bsp import shm
+from repro.bsp import shm, transport
 from repro.bsp.engine import ComputeResult
 from repro.bsp.executors import RemoteExecutor
 from repro.bsp.transport import FrameConnection
 from repro.core import find_euler_circuit
-from repro.errors import BSPError, TransientJobError
+from repro.errors import BSPError, FrameTooLargeError, TransientJobError
 from repro.faults import FaultPlan
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import random_eulerian
@@ -301,6 +302,101 @@ def test_task_without_an_installed_program_is_an_error(tmp_path):
                 ex.run_superstep([(0, None, [], 0)])
         finally:
             ex.close()
+
+
+class InflateProgram:
+    """Module-level so a host can unpickle it: replies to task state ``n``
+    with ``n`` int64 zeros; ``ballast`` bytes ride in its install frame."""
+
+    def __init__(self, ballast: int = 0):
+        self.ballast = bytes(ballast)
+
+    def __call__(self, pid, state, messages, rec, superstep):
+        return ComputeResult(state=np.zeros(state, dtype=np.int64), halt=True)
+
+
+def test_frames_past_the_cap_fail_the_run_and_are_not_transient(
+        tmp_path, monkeypatch):
+    """A frame over MAX_FRAME_BYTES is refused by its sender before a byte
+    is written, so the run fails with the frame's size and the cap, not
+    as a lost host (a TransientJobError the job layer would retry to the
+    same end): an install frame, a task frame, and a host's reply frame.
+    Each connection stays usable afterwards."""
+    cap = 1 << 18
+    monkeypatch.setattr(transport, "MAX_FRAME_BYTES", cap)
+    too_large = f"exceeds the {cap}-byte cap"
+    with WorkerHost(tmp_path / "h") as host:
+        ex = RemoteExecutor([host.address])
+        try:
+            with pytest.raises(FrameTooLargeError, match=too_large):
+                ex.start(InflateProgram(ballast=cap))
+        finally:
+            ex.close()
+
+        ex = RemoteExecutor([host.address])
+        try:
+            ex.start(InflateProgram())
+            # Every frame of a superstep is encoded before any is sent: the
+            # small task does not go out either, and no host owes a reply.
+            with pytest.raises(FrameTooLargeError, match=too_large):
+                ex.run_superstep([(0, 1, [], 0), (1, np.zeros(cap // 8), [], 0)])
+            (_, _, res), = ex.run_superstep([(0, 2, [], 0)])
+            assert res.state.tolist() == [0, 0]
+            with pytest.raises(BSPError, match=f"FrameTooLargeError.*{too_large}"):
+                ex.run_superstep([(0, cap // 8, [], 0)])
+            (_, _, res), = ex.run_superstep([(0, 3, [], 0)])
+            assert res.state.tolist() == [0, 0, 0]
+        finally:
+            ex.close()
+
+
+def _host_that_drops_its_first_task(listener: socket.socket) -> None:
+    """Accept one coordinator, install its program, then close the
+    connection after the first task frame's header."""
+    sock, _ = listener.accept()
+    conn = FrameConnection(sock)
+    try:
+        conn.recv()
+        conn.send({"ok": True})
+        sock.recv(16)
+    finally:
+        conn.close()
+
+
+def test_host_lost_mid_superstep_fails_it_as_transient():
+    """A host that goes away while its task frames are still being sent
+    fails the superstep with TransientJobError, within a bounded time: the
+    sender's failed write and the receiving loop's end-of-stream both end
+    it, and close() still joins the sender."""
+    import threading
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    host = threading.Thread(target=_host_that_drops_its_first_task,
+                            args=(listener,), daemon=True)
+    host.start()
+    ex = RemoteExecutor([listener.getsockname()[:2]])
+    big = np.arange(1 << 21, dtype=np.int64)  # 16 MiB: still sending when the host goes
+    done: dict = {}
+
+    def run():
+        try:
+            ex.run_superstep([(0, big, [], 0), (1, big, [], 0)])
+        except BaseException as exc:  # read below
+            done["exc"] = exc
+
+    try:
+        ex.start(TableProgram())
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "a superstep on a lost host never ended"
+        assert isinstance(done.get("exc"), TransientJobError)
+        assert "disconnected mid-superstep" in str(done["exc"])
+    finally:
+        ex.close()
+        listener.close()
+        host.join(timeout=10)
+    assert not host.is_alive()
 
 
 # ---------------------------------------------------------------------------
