@@ -8,8 +8,6 @@ Subcommands
     report; optionally write the walk(s) and the run artifact out.
 ``generate``
     Produce an eulerized R-MAT graph as an edge-list file.
-``postman``
-    Shorthand for ``run --scenario postman``.
 ``experiment``
     Regenerate one of the paper's tables/figures by name (``table1``,
     ``fig4`` ... ``fig9``, ``supersteps``, ``baselines``, ``ablations``).
@@ -113,27 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--scale", type=int, default=14, help="log2 vertex count")
     gen.add_argument("--avg-degree", type=float, default=5.0)
     gen.add_argument("--seed", type=int, default=0)
-
-    post = sub.add_parser(
-        "postman",
-        help="closed covering route on a non-Eulerian graph (edge revisits)",
-    )
-    post.add_argument("input", help="edge-list file")
-    post.add_argument("--parts", type=int, default=4)
-    post.add_argument("--partitioner", default="ldg",
-                      choices=("ldg", "bfs", "hash", "random"))
-    post.add_argument("--strategy", default="eager",
-                      choices=("eager", "dedup", "deferred", "proposed"))
-    post.add_argument("--seed", type=int, default=0)
-    post.add_argument("--executor", default=None, choices=sorted(EXECUTORS),
-                      help="BSP backend (default: serial, or thread when "
-                           "--workers > 1)")
-    post.add_argument("--workers", type=int, default=1,
-                      help="worker count for the thread/process backends")
-    post.add_argument("--verify", action="store_true",
-                      help="verify the covering walk")
-    post.add_argument("--report-json",
-                      help="write the scenario artifact as JSON here")
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp.add_argument("name", choices=sorted(_EXPERIMENTS))
@@ -305,12 +282,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: ``serve``/``batch`` settings the job engine refuses below a floor, as
+#: ``(attribute, flag, positive)``: ``positive`` needs > 0, else >= 0.
+_ENGINE_BOUNDS = (
+    ("pool_workers", "--pool-workers", False),
+    ("keep_results", "--keep-results", False),
+    ("retention", "--retention", False),
+    ("max_queued", "--max-queued", False),
+    ("max_retries", "--max-retries", False),
+    ("cache_budget_mb", "--cache-budget-mb", False),
+    ("drain_timeout", "--drain-timeout", False),
+    ("timeout", "--timeout", True),
+    ("hang_timeout", "--hang-timeout", True),
+)
+
+
 def _check_args(parser: argparse.ArgumentParser, args) -> None:
     """Reject job-engine settings it would refuse, as a usage error."""
     if getattr(args, "dispatchers", 1) < 1:
         parser.error("--dispatchers must be >= 1")
-    if getattr(args, "pool_workers", 0) < 0:
-        parser.error("--pool-workers must be >= 0")
+    if args.command in ("serve", "batch"):
+        for attr, flag, positive in _ENGINE_BOUNDS:
+            value = getattr(args, attr, None)
+            if value is not None and (value <= 0 if positive else value < 0):
+                parser.error(f"{flag} must be {'> 0' if positive else '>= 0'}")
     if getattr(args, "dispatcher", None) == "remote" and not args.hosts:
         parser.error("--dispatcher remote requires --hosts")
 
@@ -334,31 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("serve", "worker", "submit", "status", "jobs",
                         "batch", "mutate", "watch"):
         return _jobs_main(args)
-    if args.command == "postman":
-        g = load_edge_list(args.input)
-        config = RunConfig(
-            n_parts=args.parts,
-            partitioner=args.partitioner,
-            strategy=args.strategy,
-            seed=args.seed,
-            executor=args.executor,
-            workers=args.workers,
-            verify=args.verify,
-        )
-        result = run_scenario(g, "postman", config)
-        route = result.circuit
-        print(
-            f"route: {route.n_edges} steps over {g.n_edges} edges "
-            f"({result.metrics['n_revisits']} revisits, "
-            f"{100 * result.metrics['deadhead_fraction']:.1f}% deadheading), "
-            f"closed={route.is_closed}"
-        )
-        if args.report_json:
-            from .bench.report_io import save_scenario
-
-            path = save_scenario(result, args.report_json)
-            print(f"wrote scenario artifact to {path}")
-        return 0
     # run
     g, default_parts, default_scenario = _load_run_input(args.input)
     n_parts = args.parts if args.parts is not None else default_parts

@@ -8,7 +8,9 @@ Public API:
 * :func:`verify_circuit`, :class:`EulerCircuit` — result type + validator.
 * :func:`run_phase1`, :func:`build_merge_tree`, :func:`reconstruct_circuit`
   — the three phases individually, for tests/advanced use.
-* :class:`FragmentStore`, :class:`PathMap` — Phase-1 book-keeping.
+* :class:`FragmentStore`, :class:`PathMap` — Phase-1 book-keeping: one
+  columnar block per Phase-1 run, read through ``columns()`` and
+  ``body(fid)``.
 * :data:`STRATEGIES` — the §5 remote-edge memory strategies.
 """
 
@@ -18,7 +20,7 @@ from .improvements import STRATEGIES, DeferredStore, plan_remote_placement
 from .memory_model import Fig8Series, fig8_table, ideal_series, measured_series
 from .merge_tree import Merge, MergeTree, build_merge_tree
 from .merging import LONGS, PartitionState, merge_states
-from .pathmap import Fragment, FragmentStore, PathMap
+from .pathmap import FragmentStore, PathMap
 from .phase1 import Phase1Stats, run_phase1
 from .phase3 import build_pending_index, reconstruct_circuit
 
@@ -41,7 +43,6 @@ __all__ = [
     "LONGS",
     "PartitionState",
     "merge_states",
-    "Fragment",
     "FragmentStore",
     "PathMap",
     "Phase1Stats",

@@ -16,7 +16,9 @@ graph's ids fit, see :func:`~repro.graph.graph.index_dtype`), and the
 ``int64`` remote-degree table ``(b, 2)`` — so the child→parent merge is pure
 array algebra (equality scans on the destination-leaf column replace the
 old per-row generator) and a pickled state is a handful of raw buffers,
-which is what the process executor ships across its worker boundary.
+which is what the process executor ships across its worker boundary. A
+state holds its tables as given: Setup, the program and
+:func:`merge_states` build exactly these layouts, so nothing converts them.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase1 import EDGE_COARSE, EDGE_RAW, remote_deg_table
+from .phase1 import EDGE_COARSE, EDGE_RAW
 
 __all__ = [
     "PartitionState",
     "merge_states",
     "local_edges_level0",
-    "as_coarse",
     "empty_coarse",
     "LONGS",
 ]
@@ -91,27 +92,6 @@ def empty_coarse() -> np.ndarray:
     return np.empty((0, 4), dtype=np.int64)
 
 
-def as_coarse(coarse) -> np.ndarray:
-    """Normalize to the ``(k, 4) int64`` CoarseTable ``(src, dst, fid, n_edges)``.
-
-    Accepts a CoarseTable, a legacy ``(k, 3)`` array or list of
-    ``(src, dst, fid)`` tuples (``n_edges`` filled with 0), or ``(..., 4)``
-    tuples.
-    """
-    if not isinstance(coarse, np.ndarray):
-        if not coarse:
-            return empty_coarse()
-        coarse = np.array(coarse, dtype=np.int64)
-    coarse = coarse.astype(np.int64, copy=False)
-    if coarse.ndim != 2 or coarse.shape[1] not in (3, 4):
-        raise ValueError(f"CoarseTable must be (k, 3|4); got {coarse.shape}")
-    if coarse.shape[1] == 3:
-        out = np.zeros((coarse.shape[0], 4), dtype=np.int64)
-        out[:, :3] = coarse
-        return out
-    return coarse
-
-
 @dataclass
 class PartitionState:
     """In-memory state of one live (possibly merged) partition.
@@ -134,7 +114,7 @@ class PartitionState:
     remote_deg:
         *True* remote half-edge degree per vertex as a sorted ``(b, 2)``
         table of ``(vertex, degree > 0)`` rows (storage-independent; what
-        OB/EB classification needs). Vertices with degree 0 are dropped.
+        OB/EB classification needs). Vertices with degree 0 are absent.
     n_pathmap_entries:
         PathMap entries retained (for the Longs metric).
     member_leaves:
@@ -153,12 +133,6 @@ class PartitionState:
     )
     n_pathmap_entries: int = 0
     member_leaves: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        # Normalize the legacy forms (tuple lists / degree dicts) once at
-        # the boundary; everything downstream assumes packed arrays.
-        self.coarse = as_coarse(self.coarse)
-        self.remote_deg = remote_deg_table(self.remote_deg)
 
     def known_coarse_edges(self) -> dict[int, int]:
         """``fid -> n_edges`` for the coarse edges (Phase-1 batch metadata)."""

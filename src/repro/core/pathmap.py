@@ -32,13 +32,12 @@ and per-root columns (``kind``, ``src``, ``dst``, ``n_edges`` and row
 ``bounds``) describe them. Fragment ids are structured
 (:func:`make_fid`), so ``fid >> 32`` names the block — the run's (level,
 pid) — and ``fid & 0xFFFFFFFF`` is the fragment's row: a lookup needs no
-per-fragment index and no per-fragment object. :class:`Fragment` records
-exist only as read views, built on demand by :meth:`FragmentStore.get`.
-A batch crosses the process and remote executor boundaries as its block
-(a few raw buffers), the store adopts it with one dict insert, and a
-spill writes it as one ``.npy``. :func:`as_items` normalizes the legacy
-tuple form (3-tuples for edges, 4-tuples for fragment refs) at the API
-boundary, so hand-built test bodies keep working.
+per-fragment index and no per-fragment object. A batch crosses the
+process and remote executor boundaries as its block (a few raw buffers),
+the store adopts it with one dict insert, and a spill writes it as one
+``.npy``. A block is the only way into the store; reads go through the
+root columns (:meth:`FragmentStore.columns`) and the body slices
+(:meth:`FragmentStore.body`).
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ __all__ = [
     "ITEM_FRAG",
     "KIND_PATH",
     "KIND_CYCLE",
-    "as_items",
-    "empty_items",
-    "Fragment",
     "FragmentBatch",
     "FragmentBlock",
     "FragmentStore",
@@ -72,31 +68,8 @@ KIND_CYCLE = "cycle"
 
 _KINDS = (KIND_PATH, KIND_CYCLE)  # index = the block's ``kind`` column code
 _CYCLE = _KINDS.index(KIND_CYCLE)
-
-
-def empty_items() -> np.ndarray:
-    """A zero-row ItemArray."""
-    return np.empty((0, 4), dtype=np.int64)
-
-
-def as_items(items) -> np.ndarray:
-    """Normalize a fragment body to the packed ``(n, 4) int64`` ItemArray.
-
-    Accepts an ItemArray (returned as-is, re-typed if needed) or the legacy
-    list of item tuples — ``(ITEM_EDGE, eid, dst)`` /
-    ``(ITEM_FRAG, fid, dst, forward)``; edge tuples get ``forward = 1``.
-    """
-    if isinstance(items, np.ndarray):
-        if items.ndim != 2 or items.shape[1] != 4:
-            raise ValueError(f"ItemArray must be (n, 4); got {items.shape}")
-        return items.astype(np.int64, copy=False)
-    out = np.empty((len(items), 4), dtype=np.int64)
-    for i, it in enumerate(items):
-        out[i, 0] = it[0]
-        out[i, 1] = it[1]
-        out[i, 2] = it[2]
-        out[i, 3] = int(it[3]) if len(it) > 3 else 1
-    return out
+#: What :meth:`FragmentStore.columns` returns, in its order.
+_COLUMNS = ("fid", "kind", "level", "pid", "src", "dst", "n_edges")
 
 
 # Structured fragment-id packing: fid = ((level+1) << 52) | (pid << 32) | seq.
@@ -119,59 +92,14 @@ def make_fid(level: int, pid: int, seq: int) -> int:
     return ((level + 1) << _FID_LEVEL_SHIFT) | (pid << _FID_PID_SHIFT) | seq
 
 
-@dataclass
-class Fragment:
-    """One local path or cycle: a read view of one block row.
-
-    Attributes
-    ----------
-    fid:
-        Globally unique fragment id.
-    kind:
-        ``"path"`` (OB→OB; becomes a coarse edge) or ``"cycle"``.
-    level:
-        Merge-tree level at which Phase 1 created it.
-    pid:
-        Partition that created it.
-    src, dst:
-        Endpoints; equal for cycles.
-    items:
-        The body as an ItemArray (see module docstring), a view into its
-        block. ``None`` when the block has been spilled to disk — fetch
-        through the store, not directly.
-    n_edges:
-        Number of *raw* edges the fragment expands to (kept in a column so
-        memory accounting and sanity checks never force a load from disk).
-    """
-
-    fid: int
-    kind: str
-    level: int
-    pid: int
-    src: int
-    dst: int
-    items: np.ndarray | None
-    n_edges: int
-
-    def junctions(self) -> list[int]:
-        """The vertex sequence at this fragment's own level (src first)."""
-        if self.items is None:
-            raise ValueError(f"fragment {self.fid} body is spilled; use the store")
-        return [self.src] + self.items[:, 2].tolist()
-
-
 class FragmentBlock:
     """One Phase-1 run's fragments: an ItemArray plus per-root columns.
 
     Row ``seq`` is the fragment with fid ``make_fid(level, pid, seq)``; its
     body is ``items[bounds[seq]:bounds[seq + 1]]``. ``kind`` holds
     ``_KINDS`` codes (int8); ``src``, ``dst`` and ``n_edges`` are int64.
-    ``items`` is ``None`` once the store has spilled the block.
-
-    ``level`` and ``pid`` are the run's, except in the store's hand-built
-    block (fragments registered one at a time by
-    :meth:`FragmentStore.new_fragment`), where they are per-row int64
-    columns.
+    ``items`` is ``None`` once the store has spilled the block. ``level``
+    and ``pid`` are the run's (plain ints).
     """
 
     __slots__ = ("level", "pid", "items", "kind", "src", "dst", "n_edges",
@@ -190,14 +118,6 @@ class FragmentBlock:
     def __len__(self) -> int:
         return int(self.kind.shape[0])
 
-    def level_at(self, seq: int) -> int:
-        level = self.level
-        return int(level[seq] if isinstance(level, np.ndarray) else level)
-
-    def pid_at(self, seq: int) -> int:
-        pid = self.pid
-        return int(pid[seq] if isinstance(pid, np.ndarray) else pid)
-
     def copy(self) -> "FragmentBlock":
         """A deep copy (the repair cache remaps its own in place)."""
         return FragmentBlock(
@@ -213,13 +133,6 @@ class FragmentBlock:
     def __setstate__(self, state: dict) -> None:
         for name in self.__slots__:
             setattr(self, name, state[name])
-
-
-def _hand_built_block() -> FragmentBlock:
-    """The empty block :meth:`FragmentStore.new_fragment` appends rows to."""
-    col = np.empty(0, dtype=np.int64)
-    return FragmentBlock(col, col, empty_items(), np.empty(0, dtype=np.int8),
-                         col, col, col, np.zeros(1, dtype=np.int64))
 
 
 class FragmentBatch:
@@ -276,16 +189,14 @@ class FragmentBatch:
 class FragmentStore:
     """Registry of fragment blocks with optional disk spill of their bodies.
 
-    Blocks are keyed by ``fid >> 32``: one per Phase-1 run (adopted from a
-    :class:`FragmentBatch`), plus key 0 for fragments registered one at a
-    time with :meth:`new_fragment`, whose sequential fids are
-    ``make_fid(-1, 0, seq)``, i.e. ``0, 1, 2, ...``.
+    Blocks are keyed by ``fid >> 32``, one per Phase-1 run, registered by
+    :meth:`add_block` or adopted from the run's :class:`FragmentBatch`.
 
-    With ``spill_dir`` set, :meth:`spill` writes a block's ItemArray to
-    ``<spill_dir>/block_<key>.npy`` — a raw ``.npy`` buffer dump, no
-    per-element encoding — and drops it from memory: the paper's "persist
-    the mapping to disk ... allows the sets L and I to be removed to
-    conserve memory". The root columns stay resident. :meth:`items_of`
+    With ``spill_dir`` set, :meth:`spill_level` writes each block's
+    ItemArray to ``<spill_dir>/block_<key>.npy`` — a raw ``.npy`` buffer
+    dump, no per-element encoding — and drops it from memory: the paper's
+    "persist the mapping to disk ... allows the sets L and I to be removed
+    to conserve memory". The root columns stay resident. :meth:`body`
     reads a spilled block through one memory map, opened on first use.
     """
 
@@ -296,10 +207,6 @@ class FragmentStore:
         self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
         if self.spill_dir is not None:
             os.makedirs(self.spill_dir, exist_ok=True)
-        #: Total raw edges across registered fragments (diagnostics). Note
-        #: fragments nest, so this exceeds the graph's edge count; the sum
-        #: over *cycle* fragments alone equals it.
-        self.total_edges = 0
         # Per-level keys of adopted blocks whose bodies may still be in
         # memory — spill_level() drains from here instead of scanning every
         # block ever registered.
@@ -325,13 +232,9 @@ class FragmentStore:
     def __len__(self) -> int:
         return sum(len(b) for b in self._blocks.values())
 
-    def __contains__(self, fid: int) -> bool:
-        block = self._blocks.get(fid >> _FID_PID_SHIFT)
-        return block is not None and (fid & _SEQ_MASK) < len(block)
-
     @property
     def n_blocks(self) -> int:
-        """Registered blocks: one per adopted Phase-1 run (+1 if hand-built)."""
+        """Registered blocks: one per adopted Phase-1 run."""
         return len(self._blocks)
 
     # ---- registration -----------------------------------------------------
@@ -345,7 +248,6 @@ class FragmentStore:
                     f"block (level {block.level}, pid {block.pid}) already registered"
                 )
             self._blocks[key] = block
-            self.total_edges += int(block.n_edges.sum())
             if block.items is not None:
                 self._unspilled_by_level.setdefault(block.level, []).append(key)
         return base
@@ -354,43 +256,10 @@ class FragmentStore:
         """Register a batch's block: one dict insert per Phase-1 run.
 
         The fragments keep their structured fids; ids minted by
-        :func:`make_fid` cannot collide with each other or with the
-        hand-built block (key 0).
+        :func:`make_fid` cannot collide with each other.
         """
         if batch.block is not None:
             self.add_block(batch.block)
-
-    def new_fragment(
-        self, kind: str, level: int, pid: int, src: int, dst: int, items,
-        n_edges: int,
-    ) -> Fragment:
-        """Append one fragment to the hand-built block; next sequential fid."""
-        if kind not in _KINDS:
-            raise ValueError(f"bad fragment kind {kind!r}")
-        if kind == KIND_CYCLE and src != dst:
-            raise ValueError("cycle fragments must have src == dst")
-        items = as_items(items)
-        with self._lock:
-            block = self._blocks.get(0)
-            if block is None:
-                block = self._blocks[0] = _hand_built_block()
-            elif block.items is None:
-                # Appending to a spilled block: bring its body back first.
-                block.items = np.load(self._spill_path(0))
-                self._mapped.pop(0, None)
-            seq = len(block)
-            if seq > _SEQ_MASK:
-                raise ValueError(f"fragment seq {seq} out of fid range")
-            block.items = np.concatenate((block.items, items))
-            block.kind = np.append(block.kind, np.int8(_KINDS.index(kind)))
-            block.level = np.append(block.level, level)
-            block.pid = np.append(block.pid, pid)
-            block.src = np.append(block.src, src)
-            block.dst = np.append(block.dst, dst)
-            block.n_edges = np.append(block.n_edges, n_edges)
-            block.bounds = np.append(block.bounds, block.items.shape[0])
-            self.total_edges += n_edges
-        return self.get(seq)
 
     # ---- read views -------------------------------------------------------
     def _locate(self, fid: int) -> tuple[FragmentBlock, int]:
@@ -411,36 +280,22 @@ class FragmentStore:
                                                  mmap_mode="r")
         return mapped
 
-    def get(self, fid: int) -> Fragment:
-        """A :class:`Fragment` view of ``fid`` (``items`` None if spilled)."""
-        fid = int(fid)
-        block, seq = self._locate(fid)
-        items = block.items
-        if items is not None:
-            items = items[block.bounds[seq]:block.bounds[seq + 1]]
-        return Fragment(
-            fid, _KINDS[block.kind[seq]], block.level_at(seq),
-            block.pid_at(seq), int(block.src[seq]), int(block.dst[seq]),
-            items, int(block.n_edges[seq]),
-        )
-
     def body(self, fid: int) -> tuple[np.ndarray, int]:
-        """``(items_of(fid), src)`` with one lookup: what unrolling reads."""
+        """``(items, src)`` of ``fid`` with one lookup: what unrolling reads.
+
+        ``items`` is a row slice of the block's ItemArray (of its memory
+        map once spilled), never a copy.
+        """
         block, seq = self._locate(fid)
         body = self._body(fid >> _FID_PID_SHIFT, block)
         return body[block.bounds[seq]:block.bounds[seq + 1]], int(block.src[seq])
-
-    def items_of(self, fid: int) -> np.ndarray:
-        """Fragment body (an ItemArray view), read from disk if spilled."""
-        return self.body(fid)[0]
 
     def kind_of(self, fid: int) -> str:
         block, seq = self._locate(fid)
         return _KINDS[block.kind[seq]]
 
     def level_of(self, fid: int) -> int:
-        block, seq = self._locate(fid)
-        return block.level_at(seq)
+        return self._locate(fid)[0].level
 
     def edge_counts(self, fids: np.ndarray) -> np.ndarray:
         """Raw-edge counts of the given fragments (``int64``, aligned)."""
@@ -450,79 +305,66 @@ class FragmentStore:
             out[i] = block.n_edges[seq]
         return out
 
-    def cycles(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(fids, levels)`` of every cycle fragment, fid-ascending."""
-        fids, levels = [], []
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every fragment's root columns, concatenated in fid order.
+
+        Keys ``fid``, ``kind`` (int8 codes: 0 path, 1 cycle), ``level``,
+        ``pid``, ``src``, ``dst`` and ``n_edges`` (int64). Only resident
+        columns are read: a spilled block's body stays on disk.
+        """
+        cols = {name: [np.empty(0, dtype=np.int8 if name == "kind" else np.int64)]
+                for name in _COLUMNS}
         for key in sorted(self._blocks):
             block = self._blocks[key]
-            seqs = np.flatnonzero(block.kind == _CYCLE)
-            fids.append((key << _FID_PID_SHIFT) + seqs)
-            level = block.level
-            levels.append(level[seqs] if isinstance(level, np.ndarray)
-                          else np.full(seqs.size, level, dtype=np.int64))
-        if not fids:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(fids), np.concatenate(levels)
+            n = len(block)
+            cols["fid"].append((key << _FID_PID_SHIFT) + np.arange(n, dtype=np.int64))
+            cols["level"].append(np.full(n, block.level, dtype=np.int64))
+            cols["pid"].append(np.full(n, block.pid, dtype=np.int64))
+            for name in ("kind", "src", "dst", "n_edges"):
+                cols[name].append(getattr(block, name))
+        return {name: np.concatenate(parts) for name, parts in cols.items()}
 
-    def all_fragments(self) -> list[Fragment]:
-        """Every registered fragment as a :class:`Fragment` view, fid order."""
-        return [
-            self.get((key << _FID_PID_SHIFT) | seq)
-            for key in sorted(self._blocks)
-            for seq in range(len(self._blocks[key]))
-        ]
+    def cycles(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(fids, levels)`` of every cycle fragment, fid-ascending."""
+        cols = self.columns()
+        is_cycle = cols["kind"] == _CYCLE
+        return cols["fid"][is_cycle], cols["level"][is_cycle]
 
     def census(self) -> dict:
         """Fragment counts by kind plus the packed ItemArray rows still in
         memory (spilled blocks excluded) — the data-plane analogue of the
         paper's "persist ... to conserve memory" bookkeeping."""
-        blocks = list(self._blocks.values())
-        n_fragments = sum(len(b) for b in blocks)
-        n_cycles = sum(int(np.count_nonzero(b.kind == _CYCLE)) for b in blocks)
+        kind = self.columns()["kind"]
+        n_cycles = int(np.count_nonzero(kind == _CYCLE))
         return {
-            "n_fragments": n_fragments,
-            "n_paths": n_fragments - n_cycles,
+            "n_fragments": int(kind.size),
+            "n_paths": int(kind.size) - n_cycles,
             "n_cycles": n_cycles,
             "n_item_rows": sum(
-                int(b.items.shape[0]) for b in blocks if b.items is not None
+                int(b.items.shape[0]) for b in self._blocks.values()
+                if b.items is not None
             ),
         }
 
     # ---- spill --------------------------------------------------------------
-    def spill(self, fid: int) -> None:
-        """Persist the body of the block holding ``fid`` and free it.
-
-        Thread-safe: concurrent spills of the same block write once.
-        """
-        self._locate(fid)
-        self._spill_block(fid >> _FID_PID_SHIFT)
-
-    def _spill_block(self, key: int) -> bool:
-        if self.spill_dir is None:
-            raise ValueError("store was created without a spill_dir")
-        with self._lock:
-            block = self._blocks[key]
-            items = block.items
-        if items is None:
-            return False
-        # Write first, clear after: a concurrent spill writes identical
-        # bytes (benign), and items_of never sees a cleared body without a
-        # complete file behind it.
-        np.save(self._spill_path(key), items, allow_pickle=False)
-        with self._lock:
-            block.items = None
-        return True
-
     def spill_level(self, level: int) -> int:
         """Spill every in-memory block adopted at ``level``; returns count.
 
-        Drains the per-level unspilled index, so repeated calls (the commit
-        hook spills after every batch) cost O(new blocks at that level).
-        Hand-built fragments (key 0) spill only through :meth:`spill`.
+        Drains the per-level unspilled index under the lock, so each block
+        is written once, and repeated calls (the commit hook spills after
+        every batch) cost O(new blocks at that level).
         """
+        if self.spill_dir is None:
+            raise ValueError("store was created without a spill_dir")
         with self._lock:
             keys = self._unspilled_by_level.pop(level, [])
-        return sum(self._spill_block(key) for key in keys)
+        for key in keys:
+            block = self._blocks[key]
+            # Write first, clear after: body() never sees a cleared body
+            # without a complete file behind it.
+            np.save(self._spill_path(key), block.items, allow_pickle=False)
+            block.items = None
+        return len(keys)
 
     def _spill_path(self, key: int) -> str:
         assert self.spill_dir is not None

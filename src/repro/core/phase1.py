@@ -21,8 +21,10 @@ is ``O(|B| + |I| + |L|)`` per partition, the complexity the paper claims in
 
 Data plane: the live local edges arrive as an **EdgeTable** — one packed
 ``int64 (m, 4)`` array with columns ``(u, v, kind, ref)`` — and the remote
-degrees as an ``int64 (r, 2)`` table (see :func:`edge_table` /
-:func:`remote_deg_table`, which also normalize the legacy tuple/dict forms).
+degrees as an ``int64 (r, 2)`` table of ``(vertex, degree)`` rows, sorted
+by vertex, degrees positive. Every producer (level-0 loading, the merges)
+builds exactly these, so a run takes them as given: no conversion and no
+copy. ``validate=True`` checks that contract with the lemmas.
 The adjacency build is fully vectorized into walk tables (CSR half-edge
 offsets, per-slot packed edge and next vertex) stored at the narrowest
 index width the live graph allows (:func:`~repro.graph.graph.index_dtype`:
@@ -56,12 +58,8 @@ from .pathmap import ITEM_FRAG, FragmentBlock, FragmentStore, PathMap
 from .walk_kernel import WALK_ANCHORED, WALK_EB, WALK_MERGED, WALK_PATH
 
 __all__ = [
-    "LocalEdge",
     "Phase1Stats",
     "run_phase1",
-    "edge_table",
-    "empty_edge_table",
-    "remote_deg_table",
     "EDGE_RAW",
     "EDGE_COARSE",
 ]
@@ -73,48 +71,6 @@ EDGE_RAW = 0
 #: row's ``u`` is the fragment's ``src`` (so ``u -> v`` is *forward*).
 #: Equals ``ITEM_FRAG`` for the same reason.
 EDGE_COARSE = 1
-
-#: Legacy alias: one live local edge as a ``(u, v, kind, ref)`` tuple.
-#: The pipeline now moves EdgeTables; :func:`edge_table` converts.
-LocalEdge = tuple
-
-
-def empty_edge_table() -> np.ndarray:
-    """A zero-row EdgeTable."""
-    return np.empty((0, 4), dtype=np.int64)
-
-
-def edge_table(local_edges) -> np.ndarray:
-    """Normalize live local edges to the packed ``(m, 4) int64`` EdgeTable.
-
-    Accepts an EdgeTable (returned as-is, re-typed if needed) or the legacy
-    list of ``(u, v, kind, ref)`` tuples.
-    """
-    if isinstance(local_edges, np.ndarray):
-        if local_edges.ndim != 2 or local_edges.shape[1] != 4:
-            raise ValueError(f"EdgeTable must be (m, 4); got {local_edges.shape}")
-        return local_edges.astype(np.int64, copy=False)
-    return np.array(local_edges, dtype=np.int64).reshape(-1, 4)
-
-
-def remote_deg_table(remote_degree) -> np.ndarray:
-    """Normalize remote degrees to a sorted ``(r, 2) int64`` table.
-
-    Rows are ``(vertex, degree)`` with ``degree > 0`` (zero/negative rows
-    are dropped), sorted by vertex. Accepts such a table or the legacy
-    ``{vertex: degree}`` dict.
-    """
-    if isinstance(remote_degree, np.ndarray):
-        if remote_degree.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        tab = remote_degree.astype(np.int64, copy=False).reshape(-1, 2)
-    else:
-        tab = np.fromiter(
-            (x for vd in remote_degree.items() for x in vd), dtype=np.int64,
-            count=2 * len(remote_degree),
-        ).reshape(-1, 2)
-    tab = tab[tab[:, 1] > 0]
-    return tab[np.argsort(tab[:, 0], kind="stable")]
 
 
 class _WalkTables:
@@ -371,8 +327,8 @@ class Phase1Stats:
 def run_phase1(
     pid: int,
     level: int,
-    local_edges,
-    remote_degree,
+    local_edges: np.ndarray,
+    remote_degree: np.ndarray,
     store: FragmentStore,
     validate: bool = False,
 ) -> tuple[PathMap, Phase1Stats]:
@@ -383,22 +339,24 @@ def run_phase1(
     pid, level:
         Identity of the partition and merge level (recorded on fragments).
     local_edges:
-        The live local edges as an EdgeTable (or legacy tuple list); every
-        one is consumed.
+        The live local edges as an ``int64 (m, 4)`` EdgeTable; every one is
+        consumed.
     remote_degree:
-        Remote half-edge degrees as an ``(r, 2)`` table (or legacy dict);
-        vertices with a positive entry are *boundary* vertices. Vertices
-        appearing neither here nor on any local edge do not exist at this
-        level.
+        Remote half-edge degrees as an ``int64 (r, 2)`` table of
+        ``(vertex, degree)`` rows with strictly ascending vertices and
+        positive degrees; its vertices are the *boundary* vertices.
+        Vertices appearing neither here nor on any local edge do not exist
+        at this level.
     store:
         Fragment sink (a :class:`~repro.core.pathmap.FragmentStore` or a
         run's :class:`~repro.core.pathmap.FragmentBatch`) that receives the
         run's fragments as one block and knows the raw-edge counts of the
         coarse edges' fragments.
     validate:
-        When True, check Lemmas 1–2 on every walk and raise
-        :class:`~repro.errors.InvariantViolation` on failure (used by tests;
-        costs a few percent).
+        When True, check the two tables' layout above and Lemmas 1–2 on
+        every walk, and raise :class:`~repro.errors.InvariantViolation` on
+        failure (used by tests; costs a few percent). Without it nothing
+        is checked or copied.
 
     Returns
     -------
@@ -406,20 +364,21 @@ def run_phase1(
         The partition's :class:`~repro.core.pathmap.PathMap` for this level
         and the census/outcome counters.
     """
-    edges = edge_table(local_edges)
-    rdeg = remote_deg_table(remote_degree)
+    if validate:
+        _check_tables(local_edges, remote_degree)
 
     # See _build_walk_tables for the layout; _walk_tables reuses the tables
     # once this topology has been walked twice (same graph across served
     # jobs).
-    t = _walk_tables(edges, rdeg)
+    t = _walk_tables(local_edges, remote_degree)
     n_ob, n_eb = int(t.ob.size), int(t.eb.size)
     if validate and n_ob % 2 != 0:
         raise InvariantViolation(
             f"partition {pid} level {level}: odd number of OB vertices ({n_ob})"
         )
     native = walk_kernel.load()
-    items, recs = native(t, edges) if native else _walk_reference(t, edges)
+    items, recs = (native(t, local_edges) if native
+                   else _walk_reference(t, local_edges))
     if validate:
         _check_lemmas(t, recs)
 
@@ -479,6 +438,25 @@ def run_phase1(
     pathmap.n_merged_cycles = stats.n_iv_cycles_merged
     pathmap.n_trivial = stats.n_trivial
     return pathmap, stats
+
+
+def _check_tables(edges, rdeg) -> None:
+    """The input layout :func:`run_phase1` assumes, raising if it fails."""
+    for name, table, width in (("local_edges", edges, 4),
+                               ("remote_degree", rdeg, 2)):
+        if not (isinstance(table, np.ndarray) and table.dtype == np.int64
+                and table.ndim == 2 and table.shape[1] == width):
+            got = (f"{table.dtype} {table.shape}" if isinstance(table, np.ndarray)
+                   else type(table).__name__)
+            raise InvariantViolation(
+                f"{name} must be an int64 (n, {width}) array; got {got}"
+            )
+    verts = rdeg[:, 0]
+    if np.any(rdeg[:, 1] <= 0) or np.any(verts[1:] <= verts[:-1]):
+        raise InvariantViolation(
+            "remote_degree rows must have strictly ascending vertices and "
+            "positive degrees"
+        )
 
 
 def _check_lemmas(t: _WalkTables, recs: np.ndarray) -> None:

@@ -47,7 +47,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..core.pathmap import ITEM_EDGE
-from ..core.phase1 import EDGE_RAW, remote_deg_table
+from ..core.phase1 import EDGE_RAW
 from ..graph.partition import PartitionedGraph
 from ..pipeline.program import SuperstepProgram
 from .delta import GraphDelta, extend_part_of
@@ -241,10 +241,9 @@ class RepairSession:
         """Replay the cached node when its inputs match; run fresh else."""
         key = (pid, level)
         entry = self.cache.get(key)
-        deg_table = remote_deg_table(remote_deg)
         if (entry is not None
                 and np.array_equal(entry.local_edges, local_edges)
-                and np.array_equal(entry.remote_deg, deg_table)
+                and np.array_equal(entry.remote_deg, remote_deg)
                 and entry.known == batch._known):
             # Copy: the adopted block outlives this session's next
             # advance(), which remaps the cached items in place.
@@ -258,7 +257,7 @@ class RepairSession:
         )
         self.cache[key] = _NodeCache(
             local_edges=np.array(local_edges, dtype=np.int64, copy=True),
-            remote_deg=np.array(deg_table, dtype=np.int64, copy=True),
+            remote_deg=np.array(remote_deg, dtype=np.int64, copy=True),
             known=dict(batch._known),
             pathmap=pathmap,
             stats=stats,

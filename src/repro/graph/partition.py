@@ -210,7 +210,9 @@ class PartitionedGraph:
         The degree of a boundary vertex is its number of incident cut
         edges (a self loop is never cut), counted straight from the cut
         endpoints: no half-edge row table is built for it. Rows are sorted
-        by vertex; vertices without cut edges are absent.
+        by vertex; vertices without cut edges are absent. Each table is
+        its own array: a level-0 state keeps its table as given, and a
+        view would pin every partition's rows for as long as it lives.
         """
         cut = ~self.local_mask
         n = self.graph.n_vertices
@@ -223,7 +225,7 @@ class PartitionedGraph:
             np.int64, copy=False
         )
         starts = np.searchsorted(owner[order], np.arange(self.n_parts + 1))
-        return [table[starts[p]:starts[p + 1]] for p in range(self.n_parts)]
+        return [table[starts[p]:starts[p + 1]].copy() for p in range(self.n_parts)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

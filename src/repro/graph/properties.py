@@ -11,6 +11,7 @@ import numpy as np
 
 from ..errors import DisconnectedGraphError, NotEulerianError
 from .graph import Graph
+from .traversal import _ranges
 
 __all__ = [
     "odd_vertices",
@@ -73,17 +74,6 @@ def connected_components(graph: Graph) -> np.ndarray:
             frontier = new
         label += 1
     return comp
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(c)`` for each c in counts (vectorized)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out = np.arange(total, dtype=np.int64)
-    out -= np.repeat(ends - counts, counts)
-    return out
 
 
 def n_edge_components(graph: Graph) -> int:

@@ -73,6 +73,7 @@ def bfs_distances(
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(c)`` for each c in counts (vectorized)."""
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)

@@ -22,11 +22,13 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.core import find_euler_circuit  # noqa: E402
 from repro.generate.eulerize import eulerian_rmat  # noqa: E402
 from repro.generate.synthetic import grid_city  # noqa: E402
+from tests.helpers import fragment_census  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "golden_dataplane.json"
 
@@ -48,11 +50,10 @@ def golden_configs():
 
 
 def fingerprint(res) -> dict:
-    """Digests + human-debuggable summary of one run's outcome."""
-    census = sorted(
-        (f.fid, f.kind, f.level, f.pid, f.src, f.dst, f.n_edges)
-        for f in res.store.all_fragments()
-    )
+    """Digests + human-debuggable summary of one run's outcome: the record
+    ``golden_dataplane.json`` holds per case, and what the golden tests
+    compare a run against."""
+    census = fragment_census(res.store)
     circuit_sha = hashlib.sha256(
         res.circuit.vertices.tobytes() + b"|" + res.circuit.edge_ids.tobytes()
     ).hexdigest()

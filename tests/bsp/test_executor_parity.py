@@ -11,9 +11,7 @@ for when that is legitimate), and every backend of the columnar data plane
 must reproduce them bit for bit.
 """
 
-import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,18 +26,17 @@ from repro.bsp import (
 )
 from repro.core import find_euler_circuit, phase1, verify_circuit, walk_kernel
 from repro.errors import UnknownExecutorError
-from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs.remote import WorkerHost
 from repro.pipeline import RunConfig, run_pipeline
 from repro.pipeline import program as pipeline_program
 from repro.pipeline import setup as pipeline_setup
+from tests.bsp.make_golden_dataplane import FIXTURE, fingerprint, golden_graphs
+from tests.helpers import fragment_census
 
 BACKENDS = sorted(EXECUTORS)  # process, remote, serial, thread
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden_dataplane.json").read_text()
-)
+GOLDEN = json.loads(FIXTURE.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +54,6 @@ def remote_hosts(tmp_path_factory):
 def _run(g, backend, remote_hosts, **kw):
     hosts = remote_hosts if backend == "remote" else None
     return find_euler_circuit(g, executor=backend, hosts=hosts, **kw)
-
-
-def _fragment_census(store):
-    return sorted(
-        (f.fid, f.kind, f.level, f.pid, f.src, f.dst, f.n_edges)
-        for f in store.all_fragments()
-    )
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +79,7 @@ def test_same_circuit_and_census_on_every_backend(graphs, name, remote_hosts):
     for backend, res in results.items():
         assert np.array_equal(base.circuit.vertices, res.circuit.vertices), backend
         assert np.array_equal(base.circuit.edge_ids, res.circuit.edge_ids), backend
-        assert _fragment_census(base.store) == _fragment_census(res.store), backend
+        assert fragment_census(base.store) == fragment_census(res.store), backend
 
 
 @pytest.mark.parametrize("strategy", ["eager", "proposed"])
@@ -101,7 +91,7 @@ def test_process_backend_matches_serial_per_strategy(graphs, strategy):
         engine_workers=2,
     )
     assert np.array_equal(a.circuit.vertices, b.circuit.vertices)
-    assert _fragment_census(a.store) == _fragment_census(b.store)
+    assert fragment_census(a.store) == fragment_census(b.store)
     # The per-level census the Fig. 9 table reads is also identical.
     assert a.report.census_rows() == b.report.census_rows()
 
@@ -138,7 +128,7 @@ def test_shared_pool_repeated_runs_match_serial(graphs, workers):
             np.testing.assert_array_equal(
                 ref.circuit.edge_ids, ctx.circuit.edge_ids
             )
-            assert _fragment_census(ref.store) == _fragment_census(ctx.store)
+            assert fragment_census(ref.store) == fragment_census(ctx.store)
     assert sorted(set(shm.leaked_segments()) - before) == []
 
 
@@ -164,29 +154,14 @@ def test_make_executor_defaults():
     assert make_executor("process", 2).name == "process"
 
 
-@pytest.fixture(scope="module")
-def golden_graphs():
-    return {
-        "grid8": grid_city(8, 8),
-        "rmat10": eulerian_rmat(10, avg_degree=4.0, seed=5)[0],
-    }
+@pytest.fixture(scope="module", name="golden_graphs")
+def golden_graphs_fixture():
+    return golden_graphs()
 
 
 def _check_golden(case, res):
-    ref = GOLDEN["cases"][case]
-    census = sorted(
-        (f.fid, f.kind, f.level, f.pid, f.src, f.dst, f.n_edges)
-        for f in res.store.all_fragments()
-    )
-    circuit_sha = hashlib.sha256(
-        res.circuit.vertices.tobytes() + b"|" + res.circuit.edge_ids.tobytes()
-    ).hexdigest()
-    assert res.circuit.edge_ids.size == ref["n_circuit_edges"]
-    assert len(census) == ref["n_fragments"]
-    assert res.circuit.vertices[:8].tolist() == ref["first_vertices"]
-    assert circuit_sha == ref["circuit_sha256"], f"{case} circuit diverged"
-    census_sha = hashlib.sha256(repr(census).encode()).hexdigest()
-    assert census_sha == ref["census_sha256"], f"{case} census diverged"
+    """The run's fingerprint, computed by the fixture's own generator."""
+    assert fingerprint(res) == GOLDEN["cases"][case], f"{case} diverged"
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN["cases"]))

@@ -14,7 +14,7 @@ from repro.generate.synthetic import (
 )
 from repro.graph.graph import Graph
 
-from tests.helpers import make_eulerian_suite
+from tests.helpers import fragment_census, make_eulerian_suite
 
 
 @pytest.mark.parametrize("name,graph", make_eulerian_suite())
@@ -140,11 +140,10 @@ def test_path_fragments_all_consumed(grid8):
 
     res = find_euler_circuit(grid8, n_parts=4)
     store = res.store
+    census = fragment_census(store)
     referenced = set()
-    for f in store.all_fragments():
-        for it in store.items_of(f.fid):
-            if it[0] == ITEM_FRAG:
-                referenced.add(it[1])
-    for f in store.all_fragments():
-        if f.kind == KIND_PATH:
-            assert f.fid in referenced
+    for fid, *_ in census:
+        items, _ = store.body(fid)
+        referenced.update(items[items[:, 0] == ITEM_FRAG, 1].tolist())
+    paths = [fid for fid, kind, *_ in census if kind == KIND_PATH]
+    assert paths and set(paths) <= referenced

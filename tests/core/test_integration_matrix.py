@@ -12,6 +12,7 @@ import pytest
 from repro.core import STRATEGIES, find_euler_circuit, verify_circuit
 from repro.generate import eulerian_rmat
 from repro.generate.synthetic import random_eulerian
+from tests.helpers import fragment_census
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def test_reports_consistent_across_strategies(medium_graph):
         res = find_euler_circuit(medium_graph, n_parts=8, strategy=strategy)
         counts.add(res.report.n_supersteps)
         cycle_edges.add(
-            sum(f.n_edges for f in res.store.all_fragments() if f.kind == KIND_CYCLE)
+            sum(row[6] for row in fragment_census(res.store) if row[1] == KIND_CYCLE)
         )
     assert len(counts) == 1
     assert cycle_edges == {medium_graph.n_edges}

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.merging import LONGS, PartitionState, merge_states
 from repro.core.phase1 import EDGE_COARSE, EDGE_RAW
+from tests.helpers import rdeg_of
 
 
 def _rows(rows):
@@ -21,11 +22,11 @@ def test_merge_localizes_internal_edges_eager():
     merge and produce exactly one local edge."""
     parent = PartitionState(
         pid=1, level=0, held=_rows([(10, 20, 5, 0)]),
-        remote_deg={10: 1}, member_leaves=(1,),
+        remote_deg=rdeg_of({10: 1}), member_leaves=(1,),
     )
     child = PartitionState(
         pid=0, level=0, held=_rows([(20, 10, 5, 1)]),
-        remote_deg={20: 1}, member_leaves=(0,),
+        remote_deg=rdeg_of({20: 1}), member_leaves=(0,),
     )
     state, local, rdeg = merge_states(parent, child, in_group={0, 1})
     assert local.tolist() in ([[10, 20, EDGE_RAW, 5]], [[20, 10, EDGE_RAW, 5]])
@@ -38,11 +39,11 @@ def test_merge_localizes_internal_edges_eager():
 def test_merge_keeps_external_edges():
     parent = PartitionState(
         pid=1, level=0, held=_rows([(10, 30, 7, 2)]),
-        remote_deg={10: 1}, member_leaves=(1,),
+        remote_deg=rdeg_of({10: 1}), member_leaves=(1,),
     )
     child = PartitionState(
         pid=0, level=0, held=_rows([(11, 31, 8, 3)]),
-        remote_deg={11: 1}, member_leaves=(0,),
+        remote_deg=rdeg_of({11: 1}), member_leaves=(0,),
     )
     state, local, rdeg = merge_states(parent, child, in_group={0, 1})
     assert local.shape == (0, 4)
@@ -55,19 +56,21 @@ def test_merge_dedup_single_copy_localizes():
     endpoints' remote degrees drop."""
     parent = PartitionState(
         pid=1, level=0, held=_rows([(10, 20, 5, 0)]),
-        remote_deg={10: 1}, member_leaves=(1,),
+        remote_deg=rdeg_of({10: 1}), member_leaves=(1,),
     )
     child = PartitionState(
         pid=0, level=0, held=np.empty((0, 4), dtype=np.int64),
-        remote_deg={20: 1}, member_leaves=(0,),
+        remote_deg=rdeg_of({20: 1}), member_leaves=(0,),
     )
     state, local, rdeg = merge_states(parent, child, in_group={0, 1})
     assert len(local) == 1 and _deg(rdeg) == {}
 
 
 def test_merge_carries_coarse_edges_from_both_sides():
-    parent = PartitionState(pid=1, level=0, coarse=[(1, 2, 100)], member_leaves=(1,))
-    child = PartitionState(pid=0, level=0, coarse=[(3, 4, 101)], member_leaves=(0,))
+    parent = PartitionState(pid=1, level=0, coarse=_rows([(1, 2, 100, 0)]),
+                            member_leaves=(1,))
+    child = PartitionState(pid=0, level=0, coarse=_rows([(3, 4, 101, 0)]),
+                           member_leaves=(0,))
     state, local, _ = merge_states(parent, child, in_group={0, 1})
     assert [1, 2, EDGE_COARSE, 100] in local.tolist()
     assert [3, 4, EDGE_COARSE, 101] in local.tolist()
@@ -75,8 +78,10 @@ def test_merge_carries_coarse_edges_from_both_sides():
 
 
 def test_merge_extra_rows_deferred():
-    parent = PartitionState(pid=1, level=0, remote_deg={10: 1}, member_leaves=(1,))
-    child = PartitionState(pid=0, level=0, remote_deg={20: 1}, member_leaves=(0,))
+    parent = PartitionState(pid=1, level=0, remote_deg=rdeg_of({10: 1}),
+                            member_leaves=(1,))
+    child = PartitionState(pid=0, level=0, remote_deg=rdeg_of({20: 1}),
+                           member_leaves=(0,))
     extra = _rows([(10, 20, 9, 0)])
     state, local, rdeg = merge_states(parent, child, in_group={0, 1}, extra_rows=extra)
     assert len(local) == 1
@@ -89,11 +94,11 @@ def test_merge_boundary_vertex_partially_internalized():
     parent = PartitionState(
         pid=1, level=0,
         held=_rows([(10, 20, 5, 0), (10, 30, 6, 2)]),
-        remote_deg={10: 2}, member_leaves=(1,),
+        remote_deg=rdeg_of({10: 2}), member_leaves=(1,),
     )
     child = PartitionState(
         pid=0, level=0, held=_rows([(20, 10, 5, 1)]),
-        remote_deg={20: 1}, member_leaves=(0,),
+        remote_deg=rdeg_of({20: 1}), member_leaves=(0,),
     )
     state, local, rdeg = merge_states(parent, child, in_group={0, 1})
     assert _deg(rdeg) == {10: 1}
@@ -103,9 +108,9 @@ def test_merge_boundary_vertex_partially_internalized():
 def test_state_longs_formula():
     s = PartitionState(
         pid=0, level=0,
-        coarse=[(1, 2, 3)],
+        coarse=_rows([(1, 2, 3, 0)]),
         held=_rows([(1, 9, 0, 1), (2, 8, 1, 1)]),
-        remote_deg={1: 1, 2: 1, 3: 0},
+        remote_deg=rdeg_of({1: 1, 2: 1, 3: 0}),
         n_pathmap_entries=4,
     )
     expected = LONGS.BOUNDARY * 2 + LONGS.REMOTE * 2 + LONGS.COARSE * 1 + LONGS.PATHMAP * 4
@@ -114,8 +119,8 @@ def test_state_longs_formula():
 
 def test_census_counts():
     s = PartitionState(
-        pid=0, level=0, coarse=[(1, 2, 3)],
-        held=_rows([(1, 9, 0, 1)]), remote_deg={1: 1},
+        pid=0, level=0, coarse=_rows([(1, 2, 3, 0)]),
+        held=_rows([(1, 9, 0, 1)]), remote_deg=rdeg_of({1: 1}),
     )
     c = s.census()
     assert c == {"n_boundary": 1, "n_remote_half_edges": 1, "n_coarse_edges": 1}

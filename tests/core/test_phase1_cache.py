@@ -23,9 +23,10 @@ import pytest
 
 from repro.core import find_euler_circuit, phase1
 from repro.core.pathmap import FragmentStore
-from repro.core.phase1 import edge_table, remote_deg_table, run_phase1
+from repro.core.phase1 import run_phase1
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.obs import MetricsRegistry, use_registry
+from tests.helpers import fragment_census, rdeg_of
 
 
 @pytest.fixture(autouse=True)
@@ -37,7 +38,7 @@ def fresh_cache():
 
 
 def _tables_of(edges, rdeg):
-    return phase1._walk_tables(edge_table(edges), remote_deg_table(rdeg))
+    return phase1._walk_tables(edges, rdeg)
 
 
 def _sight_twice(edges, rdeg):
@@ -53,16 +54,12 @@ def _workload():
         np.zeros(g.n_edges, np.int64),
         np.arange(g.n_edges, dtype=np.int64),
     ])
-    rdeg = {int(v): 2 for v in range(0, g.n_vertices, 7)}
+    rdeg = rdeg_of({int(v): 2 for v in range(0, g.n_vertices, 7)})
     return edges, rdeg
 
 
 def _census(store):
-    return sorted(
-        (f.fid, f.kind, f.level, f.pid, f.src, f.dst, f.n_edges,
-         np.asarray(f.items).tobytes())
-        for f in store.all_fragments()
-    )
+    return fragment_census(store, bodies=True)
 
 
 def test_second_run_hits_the_cache_and_matches():
@@ -88,7 +85,7 @@ def test_distinct_topologies_do_not_collide():
     t2 = _sight_twice(variant, rdeg)
     assert t2 is not t1
     # Same topology, different remote degrees: also distinct tables.
-    t3 = _sight_twice(edges, {**rdeg, 1: 4})
+    t3 = _sight_twice(edges, rdeg_of({**dict(rdeg.tolist()), 1: 4}))
     assert t3 is not t1
     assert _tables_of(edges, rdeg) is t1  # each keeps its own slot
 
@@ -127,7 +124,7 @@ def test_oversized_tables_are_not_cached(monkeypatch):
 
 def test_lru_bound_holds(monkeypatch):
     base, rdeg = _workload()
-    one = phase1._build_walk_tables(edge_table(base), remote_deg_table(rdeg))
+    one = phase1._build_walk_tables(base, rdeg)
     budget = 16 * (2 * one.nbytes)  # every table is admitted; ~32 fit
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", budget)
     for shift in range(40):
@@ -143,7 +140,7 @@ def test_tables_above_a_sixteenth_of_the_budget_are_not_cached(monkeypatch):
     """A repeat run only hits if all its tables survive, so a table larger
     than budget/16 is never admitted: it would pin memory for nothing."""
     edges, rdeg = _workload()
-    one = phase1._build_walk_tables(edge_table(edges), remote_deg_table(rdeg))
+    one = phase1._build_walk_tables(edges, rdeg)
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 16 * one.nbytes - 16)
     _sight_twice(edges, rdeg)
     assert _cached_bytes() == 0
@@ -163,7 +160,7 @@ def test_byte_budget_bounds_dense_tables_over_a_large_id_space(monkeypatch):
     for k in range(40):
         edges = np.array([[top - k, top - k - 1, 0, 0],
                           [top - k - 1, top - k, 0, 1]], dtype=np.int64)
-        t = _sight_twice(edges, {})
+        t = _sight_twice(edges, rdeg_of({}))
         assert t.vert_ids is None and t.m == 2  # dense, tiny m
         assert t.nbytes > 100_000 * t.m
         assert _cached_bytes() <= budget
@@ -241,7 +238,7 @@ def test_concurrent_walks_match_a_serial_reference(monkeypatch):
 
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)  # uncached
     reference = {e.tobytes(): walk(e) for e in shared + sum(private, [])}
-    one = phase1._build_walk_tables(edge_table(base), remote_deg_table(rdeg))
+    one = phase1._build_walk_tables(base, rdeg)
     budget = 16 * 4 * one.nbytes  # ~4 tables fit: admissions evict
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", budget)
 

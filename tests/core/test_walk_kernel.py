@@ -27,17 +27,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.core import phase1, walk_kernel
-from repro.core.pathmap import ITEM_EDGE, KIND_PATH, FragmentStore
-from repro.core.phase1 import (
-    EDGE_COARSE,
-    EDGE_RAW,
-    edge_table,
-    remote_deg_table,
-    run_phase1,
-)
+from repro.core.pathmap import FragmentBatch, FragmentStore
+from repro.core.phase1 import EDGE_COARSE, EDGE_RAW, run_phase1
 from repro.errors import InvariantViolation
 from repro.generate.synthetic import random_eulerian
 from repro.graph.partition import PartitionedGraph
+from tests.helpers import edges_of, fragment_census, rdeg_of
 
 
 @contextmanager
@@ -57,23 +52,24 @@ def _require_native():
 
 
 def _outcome(case, validate):
-    """Everything one Phase-1 run produces, or the error it raised."""
+    """Everything one Phase-1 run produces, or the error it raised.
+
+    A case's ``priors`` are the coarse edges' fragments, by index: the run
+    reads only their raw-edge counts.
+    """
     pid, level, rows, priors, rdeg = case
-    store = FragmentStore()
-    for u, v, n_edges in priors:
-        store.new_fragment(KIND_PATH, 0, 9, u, v, [(ITEM_EDGE, 0, v)], n_edges)
+    batch = FragmentBatch(pid, level, known_edges={
+        ref: n_edges for ref, (_, _, n_edges) in enumerate(priors)})
     try:
-        pm, stats = run_phase1(pid, level, rows, rdeg, store, validate=validate)
+        pm, stats = run_phase1(pid, level, edges_of(rows), rdeg_of(rdeg),
+                               batch, validate=validate)
     except InvariantViolation as exc:
         return "raised", str(exc)
-    census = [
-        (f.fid, f.kind, f.level, f.pid, f.src, f.dst, f.n_edges,
-         np.asarray(f.items).tobytes())
-        for f in store.all_fragments()
-    ]
+    store = FragmentStore()
+    store.adopt(batch)
     return (pm.ob_paths.tobytes(), pm.ob_path_edges.tobytes(),
             pm.anchored_cycles.tobytes(), pm.n_merged_cycles, pm.n_trivial,
-            stats, census)
+            stats, fragment_census(store, bodies=True))
 
 
 @st.composite
@@ -155,8 +151,8 @@ def _tables_at_both_widths(case):
     """The case's EdgeTable, its walk tables at the run width, and the same
     tables cast to int64."""
     _, _, rows, _, rdeg = case
-    edges = edge_table(rows)
-    narrow = phase1._build_walk_tables(edges, remote_deg_table(rdeg))
+    edges = edges_of(rows)
+    narrow = phase1._build_walk_tables(edges, rdeg_of(rdeg))
     wide = phase1._WalkTables()
     for name in phase1._WalkTables.__slots__:
         value = getattr(narrow, name)
@@ -196,8 +192,8 @@ def test_ids_beyond_int32_walk_at_int64():
     big = 1 << 31
     rows = [(big, big + 7, EDGE_RAW, 0), (big + 7, 5, EDGE_RAW, 1),
             (5, big, EDGE_RAW, 2)]
-    edges = edge_table(rows)
-    tables = phase1._build_walk_tables(edges, remote_deg_table({}))
+    edges = edges_of(rows)
+    tables = phase1._build_walk_tables(edges, rdeg_of({}))
     assert tables.vert_ids is not None and tables.offsets.dtype == np.int64
     reference = phase1._walk_reference(tables, edges)
     _require_native()

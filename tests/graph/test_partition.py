@@ -128,6 +128,8 @@ def test_property_level0_tables_match_views(seed, n_parts):
         expected = np.stack((verts, counts), axis=1).reshape(-1, 2)
         assert rdeg[w.pid].dtype == np.int64
         np.testing.assert_array_equal(rdeg[w.pid], expected)
+        # Its own array: a level-0 state holding it pins no other rows.
+        assert rdeg[w.pid].base is None
 
 
 def test_partitioned_graph_keeps_one_per_edge_table(fig1):

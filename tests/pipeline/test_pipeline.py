@@ -17,6 +17,7 @@ from repro.pipeline import (
     Setup,
     run_pipeline,
 )
+from tests.helpers import fragment_census
 
 
 @pytest.fixture()
@@ -110,10 +111,10 @@ def test_structured_fids_are_unique_and_level_tagged(grid):
     from repro.core.pathmap import make_fid
 
     res = find_euler_circuit(grid, n_parts=4)
-    frags = res.store.all_fragments()
-    fids = [f.fid for f in frags]
+    census = fragment_census(res.store)
+    fids = [row[0] for row in census]
     assert len(fids) == len(set(fids))
-    for f in frags:
+    for fid, _, level, pid, *_ in census:
         # fid encodes (level, pid): reconstructible without coordination.
-        seq = f.fid & 0xFFFFFFFF
-        assert f.fid == make_fid(f.level, f.pid, seq)
+        seq = fid & 0xFFFFFFFF
+        assert fid == make_fid(level, pid, seq)

