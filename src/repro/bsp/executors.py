@@ -216,9 +216,11 @@ class RemoteExecutor(_Closable):
     :meth:`start` sends each host one ``install`` frame carrying the
     program object, whose tables the frame pickler ships out of band
     straight from its arrays: the coordinator keeps no serialized copy of
-    a program it never calls. A host keeps the program only as long as
-    this executor's connection; a task on a connection without one fails
-    with :class:`~repro.errors.BSPError`.
+    a program it never calls. Once every host has acknowledged the
+    install, a program with an ``installed_remotely()`` method is told so
+    and drops the tables only the hosts read. A host keeps the program
+    only as long as this executor's connection; a task on a connection
+    without one fails with :class:`~repro.errors.BSPError`.
 
     Replies are received on the thread that calls :meth:`run_superstep`
     (the one that ran Setup and will run Phase 3): one selector loop over
@@ -281,6 +283,11 @@ class RemoteExecutor(_Closable):
         except BaseException:
             self.close()
             raise
+        # Every host holds the program now, and this process never calls
+        # it: a program that can shed its tables does so here.
+        installed = getattr(compute, "installed_remotely", None)
+        if installed is not None:
+            installed()
         for slot in range(len(self._conns)):
             outbox: queue.SimpleQueue = queue.SimpleQueue()
             sender = threading.Thread(

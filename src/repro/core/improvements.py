@@ -83,65 +83,57 @@ def plan_remote_placement(
     fewer cumulative remote half-edges ("we select the partition that is
     heavier among the pair ... as the one to drop its remote edges", §5).
     """
-    u = pg.graph.edge_u
-    v = pg.graph.edge_v
-    width = index_dtype(pg.graph.n_vertices, pg.graph.n_edges)
-    cut_eids = np.flatnonzero(~pg.local_mask)
-    pu = pg.part_of[u[cut_eids]] if cut_eids.size else np.empty(0, np.int64)
-    pv = pg.part_of[v[cut_eids]] if cut_eids.size else np.empty(0, np.int64)
+    graph, k = pg.graph, pg.n_parts
+    u, v = graph.edge_u, graph.edge_v
+    width = index_dtype(graph.n_vertices, graph.n_edges)
+    # Every per-edge table below is a mask, a column of the endpoints'
+    # parts (one byte up to 255 parts) or an output: no cut-sized int64
+    # column is built.
+    pu, pv = pg.endpoint_parts()
 
-    # Merge level per cut edge, computed once per *partition pair* (at most
-    # n_parts^2, versus one tree walk per cut edge) and broadcast back.
-    pair_keys, pair_inverse = np.unique(pu * pg.n_parts + pv, return_inverse=True)
-    pair_levels = np.fromiter(
-        (
-            tree.merge_level_of(int(k) // pg.n_parts, int(k) % pg.n_parts)
-            for k in pair_keys
-        ),
-        dtype=np.int64,
-        count=pair_keys.size,
-    )
-    merge_level_by_eid = np.full(pg.graph.n_edges, -1, dtype=width)
-    if cut_eids.size:
-        merge_level_by_eid[cut_eids] = pair_levels[pair_inverse]
-    del pair_inverse
+    # Merge level of every edge from the leaf-pair table of the static tree
+    # (one fancy index), -1 for the local ones.
+    merge_level_by_eid = tree.merge_levels(width)[pu, pv]
+    merge_level_by_eid[pg.local_mask] = -1
 
-    cu = u[cut_eids]
-    cv = v[cut_eids]
     if dedup:
         # "Heavier" = more cumulative remote half-edges under eager
         # placement; the lighter side holds, ties break toward the smaller
-        # pid.
-        weight = np.zeros(pg.n_parts, dtype=np.int64)
-        np.add.at(weight, pu, 1)
-        np.add.at(weight, pv, 1)
-        wa, wb = weight[pu], weight[pv]
-        a_holds = (wa < wb) | ((wa == wb) & (pu <= pv))
-        owners = np.where(a_holds, pu, pv)
-        del wa, wb
+        # pid. Decided once per partition pair, then looked up per edge.
+        cut = ~pg.local_mask
+        weight = np.bincount(pu[cut], minlength=k) + np.bincount(pv[cut], minlength=k)
+        del cut
+        ids = np.arange(k)
+        a_wins = ((weight[:, None] < weight)
+                  | ((weight[:, None] == weight) & (ids[:, None] <= ids)))
+        a_holds = a_wins[pu, pv]
+        # Each cut edge's holding partition; local edges get k, no pid.
+        holder = np.where(a_holds, pu, pv)
+        holder[pg.local_mask] = k
 
-    # Each partition's rows straight from its own cut positions: a cut
-    # edge's two sides lie in different partitions, so a partition holds
-    # each eid at most once (eager: the side it is on; dedup: the side it
-    # owns), and its positions already ascend by eid. Columns are (src,
-    # dst, eid, dst_pid) seen from the holding side, built one partition at
-    # a time so the only cut-sized temporary is a mask.
+    # Each partition's rows straight from its own cut eids: a cut edge's
+    # two sides lie in different partitions, so a partition holds each eid
+    # at most once (eager: the side it is on; dedup: the side it owns), and
+    # its eids come out ascending. Columns are (src, dst, eid, dst_pid)
+    # seen from the holding side, written in place, so the largest
+    # temporary is one of the partition's own columns.
     rows_for = {}
-    for pid in range(pg.n_parts):
+    for pid in range(k):
         if dedup:
-            pos = np.flatnonzero(owners == pid)
-            u_side = a_holds[pos]
+            eids = np.flatnonzero(holder == pid)
+            flip = np.flatnonzero(~a_holds[eids])
         else:
-            on_u = pu == pid
-            pos = np.flatnonzero(on_u | (pv == pid))
-            u_side = on_u[pos]
-            del on_u
-        rows = np.empty((pos.size, 4), dtype=width)
-        a, b = cu[pos], cv[pos]
-        rows[:, 0] = np.where(u_side, a, b)
-        rows[:, 1] = np.where(u_side, b, a)
-        rows[:, 2] = cut_eids[pos]
-        rows[:, 3] = np.where(u_side, pv[pos], pu[pos])
+            # Exactly one endpoint in pid: a cut edge on pid's boundary.
+            eids = np.flatnonzero((pu == pid) != (pv == pid))
+            flip = np.flatnonzero(pu[eids] != pid)
+        rows = np.empty((eids.size, 4), dtype=width)
+        rows[:, 0] = u[eids]
+        rows[:, 1] = v[eids]
+        rows[:, 2] = eids
+        rows[:, 3] = pv[eids]
+        # Rows held on the v side: swap the endpoints, far side is u's.
+        rows[flip, 0], rows[flip, 1] = rows[flip, 1], rows[flip, 0]
+        rows[flip, 3] = pu[eids[flip]]
         rows_for[pid] = rows
     return RemotePlacement(
         rows_for=rows_for,

@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..graph.metagraph import MetaGraph
 
 __all__ = ["Merge", "MergeTree", "build_merge_tree"]
@@ -96,6 +98,19 @@ class MergeTree:
             if gi == gj:
                 return l
         return len(self.levels)
+
+    def merge_levels(self, dtype=np.int64) -> np.ndarray:
+        """:meth:`merge_level_of` for every pair of leaves, as one
+        ``(n_parts, n_parts)`` table: a per-edge lookup is then one
+        fancy index by the endpoints' partitions."""
+        never = len(self.levels)
+        group = np.arange(self.n_parts)
+        table = np.full((self.n_parts, self.n_parts), never, dtype=dtype)
+        for l, level in enumerate(self.levels):
+            for m in level:
+                group[group == m.child] = m.parent
+            table[(group[:, None] == group) & (table == never)] = l
+        return table
 
 
 def _greedy_matching(mg: MetaGraph) -> list[tuple[int, int, int]]:

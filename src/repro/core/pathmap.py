@@ -12,19 +12,22 @@ by Phase 3's recursive unrolling; :class:`FragmentStore` keeps it in memory
 by default and can spill bodies to disk (``spill_dir``), mirroring the
 paper's design that only the pathMap *metadata* stays resident.
 
-Item encoding — the **ItemArray**, packed ``int64 (n, 4)`` rows, columns
-``(tag, ref, dst, forward)``:
+Item encoding — the **ItemArray**, packed ``int64 (n, 2)`` rows, columns
+``(ref | forward << 62, dst)``, 16 bytes a row:
 
-``(ITEM_EDGE, eid, dst, fwd)``
-    Raw undirected edge ``eid`` traversed so that it *ends* at vertex ``dst``
-    (``fwd`` records the traversal direction; nothing downstream reads it
-    for edges, but keeping the row uniform lets every body share one dtype).
-``(ITEM_FRAG, fid, dst, forward)``
-    Lower-level path fragment ``fid`` traversed toward ``dst``; ``forward``
-    is 1 when traversed from its ``src`` to its ``dst``.
+``ref < 2**52``: a raw edge
+    Undirected edge ``ref`` (an eid) traversed so that it *ends* at vertex
+    ``dst``; ``forward`` records the traversal direction (nothing
+    downstream reads it for edges, but delta repair keeps it).
+``ref >= 2**52``: a fragment
+    Lower-level path fragment ``ref`` (a fid, which :func:`make_fid` keeps
+    in ``[2**52, 2**62)``) traversed toward ``dst``; ``forward`` is 1 when
+    traversed from its ``src`` to its ``dst``.
 
-The implied junction sequence of a fragment is ``src`` followed by the
-``dst`` column; for cycles the last ``dst`` equals ``src``.
+``REF_MASK`` strips the direction bit (``FORWARD``), and ``FID_MIN``
+splits edges from fragments, so no row needs a tag column. The implied
+junction sequence of a fragment is ``src`` followed by the ``dst``
+column; for cycles the last ``dst`` equals ``src``.
 
 Storage unit — the **FragmentBlock**: one Phase-1 run's output, kept as the
 walk kernel wrote it. Its ItemArray holds every root's body back to back,
@@ -49,8 +52,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ITEM_EDGE",
-    "ITEM_FRAG",
+    "FID_MIN",
+    "FORWARD",
+    "FORWARD_SHIFT",
+    "REF_MASK",
     "KIND_PATH",
     "KIND_CYCLE",
     "FragmentBatch",
@@ -60,8 +65,10 @@ __all__ = [
     "make_fid",
 ]
 
-ITEM_EDGE = 0
-ITEM_FRAG = 1
+#: ItemArray column 0 is ``ref | forward << FORWARD_SHIFT``.
+FORWARD_SHIFT = 62
+FORWARD = 1 << FORWARD_SHIFT
+REF_MASK = FORWARD - 1
 
 KIND_PATH = "path"
 KIND_CYCLE = "cycle"
@@ -78,13 +85,20 @@ _COLUMNS = ("fid", "kind", "level", "pid", "src", "dst", "n_edges")
 # shared counter*. Every executor backend (serial, thread, process) therefore
 # mints bit-identical fids, which is what makes circuits reproducible across
 # backends and lets out-of-process Phase-1 runs allocate ids independently.
+# With level in [0, 1023) every fid lies in [2**52, 2**62): above any edge
+# id and clear of the ItemArray's direction bit.
 _FID_LEVEL_SHIFT = 52
 _FID_PID_SHIFT = 32
 _SEQ_MASK = (1 << _FID_PID_SHIFT) - 1
+_MAX_LEVELS = (1 << (FORWARD_SHIFT - _FID_LEVEL_SHIFT)) - 1
+#: The smallest fragment id; an ItemArray ref below it is a graph edge id.
+FID_MIN = 1 << _FID_LEVEL_SHIFT
 
 
 def make_fid(level: int, pid: int, seq: int) -> int:
     """Deterministic, coordination-free fragment id for (level, pid, seq)."""
+    if not (0 <= level < _MAX_LEVELS):
+        raise ValueError(f"level {level} out of fid range [0, {_MAX_LEVELS})")
     if not (0 <= pid < (1 << (_FID_LEVEL_SHIFT - _FID_PID_SHIFT))):
         raise ValueError(f"pid {pid} out of fid range")
     if not (0 <= seq < (1 << _FID_PID_SHIFT)):
@@ -96,7 +110,8 @@ class FragmentBlock:
     """One Phase-1 run's fragments: an ItemArray plus per-root columns.
 
     Row ``seq`` is the fragment with fid ``make_fid(level, pid, seq)``; its
-    body is ``items[bounds[seq]:bounds[seq + 1]]``. ``kind`` holds
+    body is ``items[bounds[seq]:bounds[seq + 1]]``, rows of the ``(n, 2)``
+    ItemArray. ``kind`` holds
     ``_KINDS`` codes (int8); ``src``, ``dst`` and ``n_edges`` are int64.
     ``items`` is ``None`` once the store has spilled the block. ``level``
     and ``pid`` are the run's (plain ints).
@@ -386,8 +401,8 @@ class PathMap:
     ``ob_paths`` are the coarse OB-pair edges handed to the next level;
     ``anchored_cycles`` are cycle fragments waiting to be spliced into the
     final circuit by Phase 3 (EB cycles, plus internal-vertex cycles that
-    found no same-level pivot — the multi-component generalization noted in
-    DESIGN.md).
+    found no same-level pivot — the multi-component generalization that
+    ARCHITECTURE.md's "Phase 3" section describes).
     """
 
     pid: int

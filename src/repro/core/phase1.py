@@ -31,9 +31,9 @@ index width the live graph allows (:func:`~repro.graph.graph.index_dtype`:
 ``int32`` whenever its ids and slot codes fit). The walk itself —
 all three stages, mergeInto's pivot lookup, the splice of merged cycles
 into their roots and the ItemArray decode — runs in a small C kernel
-(``walk.c``, loaded by :mod:`repro.core.walk_kernel` with the GIL
-released, one entry point per width), writing every fragment body into
-one preallocated ``int64 (m, 4)`` block, which the run registers as its
+(``walk.c``, loaded by :mod:`repro.kernels` with the GIL released, one
+entry point per width), writing every fragment body into one
+preallocated ``int64 (m, 2)`` ItemArray, which the run registers as its
 :class:`~repro.core.pathmap.FragmentBlock` beside per-root columns.
 :func:`_walk_reference` is the same walk in Python: the reference the
 kernel is tested against, and the path taken when no C compiler works.
@@ -50,12 +50,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import kernels
 from ..errors import InvariantViolation
 from ..graph.graph import index_dtype
+from ..kernels import WALK_ANCHORED, WALK_EB, WALK_MERGED, WALK_PATH
 from ..obs import ambient
-from . import walk_kernel
-from .pathmap import ITEM_FRAG, FragmentBlock, FragmentStore, PathMap
-from .walk_kernel import WALK_ANCHORED, WALK_EB, WALK_MERGED, WALK_PATH
+from .pathmap import (
+    FID_MIN,
+    FORWARD_SHIFT,
+    REF_MASK,
+    FragmentBlock,
+    FragmentStore,
+    PathMap,
+)
 
 __all__ = [
     "Phase1Stats",
@@ -64,12 +71,13 @@ __all__ = [
     "EDGE_COARSE",
 ]
 
-#: Edge kind: a raw graph edge; ``ref`` is the graph edge id. Equals
-#: ``ITEM_EDGE`` so the EdgeTable kind column doubles as the ItemArray tag.
+#: Edge kind: a raw graph edge; ``ref`` is the graph edge id (below
+#: :data:`~repro.core.pathmap.FID_MIN`).
 EDGE_RAW = 0
-#: Edge kind: a coarse OB-pair edge; ``ref`` is the fragment id and the
-#: row's ``u`` is the fragment's ``src`` (so ``u -> v`` is *forward*).
-#: Equals ``ITEM_FRAG`` for the same reason.
+#: Edge kind: a coarse OB-pair edge; ``ref`` is the fragment id (at least
+#: ``FID_MIN``) and the row's ``u`` is the fragment's ``src`` (so
+#: ``u -> v`` is *forward*). The ref alone tells the two kinds apart, so
+#: an ItemArray row needs no kind column.
 EDGE_COARSE = 1
 
 
@@ -376,8 +384,8 @@ def run_phase1(
         raise InvariantViolation(
             f"partition {pid} level {level}: odd number of OB vertices ({n_ob})"
         )
-    native = walk_kernel.load()
-    items, recs = (native(t, local_edges) if native
+    native = kernels.load()
+    items, recs = (native.walk(t, local_edges) if native
                    else _walk_reference(t, local_edges))
     if validate:
         _check_lemmas(t, recs)
@@ -398,11 +406,11 @@ def run_phase1(
 
     # ---- register the run as one block ------------------------------------
     # ``items`` holds every root's spliced body back to back (roots in walk
-    # order): the EdgeTable's kind column *is* the ItemArray tag column
-    # (EDGE_RAW == ITEM_EDGE, EDGE_COARSE == ITEM_FRAG) and ref carries over
-    # unchanged. The block stores it as is, beside one column per root
-    # attribute, so the NumPy fixed cost is per *run*, not per fragment —
-    # partitions routinely produce tens of thousands of tiny path fragments.
+    # order), each row the EdgeTable's ref with the traversal direction in
+    # bit 62, and the junction reached. The block stores it as is, beside
+    # one column per root attribute, so the NumPy fixed cost is per *run*,
+    # not per fragment — partitions routinely produce tens of thousands of
+    # tiny path fragments.
     roots = recs[recs[:, 2] != WALK_MERGED]
     n_roots = roots.shape[0]
     is_path = roots[:, 2] == WALK_PATH
@@ -416,13 +424,14 @@ def run_phase1(
     np.cumsum(roots[:, 3], out=bounds[1:])
     # Raw-edge weights: every root is non-empty, so reduceat is safe; coarse
     # items add their fragments' recorded counts.
-    is_frag = items[:, 0] == ITEM_FRAG
+    is_frag = items[:, 0] & REF_MASK >= FID_MIN
     n_edges = bounds[1:] - bounds[:-1]
     frag_positions = np.flatnonzero(is_frag)
     if frag_positions.size:
         n_edges -= np.add.reduceat(is_frag.astype(np.int64), bounds[:-1])
         owners = np.searchsorted(bounds[1:], frag_positions, side="right")
-        np.add.at(n_edges, owners, store.edge_counts(items[frag_positions, 1]))
+        np.add.at(n_edges, owners,
+                  store.edge_counts(items[frag_positions, 0] & REF_MASK))
     del is_frag, frag_positions
     kind = (~is_path).astype(np.int8)  # KIND_PATH = 0, KIND_CYCLE = 1
     base = store.add_block(
@@ -456,6 +465,16 @@ def _check_tables(edges, rdeg) -> None:
         raise InvariantViolation(
             "remote_degree rows must have strictly ascending vertices and "
             "positive degrees"
+        )
+    # The ItemArray tells edges from fragments by ref alone.
+    kind, ref = edges[:, 2], edges[:, 3]
+    coarse = kind == EDGE_COARSE
+    if (np.any((kind != EDGE_RAW) & ~coarse)
+            or np.any(coarse & ((ref < FID_MIN) | (ref > REF_MASK)))
+            or np.any(~coarse & ((ref < 0) | (ref >= FID_MIN)))):
+        raise InvariantViolation(
+            "local_edges rows must be raw edges with refs in [0, 2**52) or "
+            "coarse edges with fragment ids in [2**52, 2**62)"
         )
 
 
@@ -491,7 +510,7 @@ def _walk_reference(
     flat_len)`` row per non-empty walk in discovery order (local vertex
     indices; ``kind`` is a ``WALK_*`` code; ``flat_len`` is a root's
     spliced length, 0 for merged cycles), at the tables' width. ``items``
-    is the int64 ``(m, 4)`` ItemArray of every root's spliced body, roots
+    is the int64 ``(m, 2)`` ItemArray of every root's spliced body, roots
     in walk order.
     """
     slot_enc = t.slot_enc.tolist()
@@ -610,9 +629,7 @@ def _walk_reference(
 
     seq = np.array(flat_enc, dtype=np.int64)
     dst = np.array(flat_loc, dtype=np.int64)
-    items = np.empty((seq.size, 4), dtype=np.int64)
-    items[:, 0] = edges[seq >> 1, 2]
-    items[:, 1] = edges[seq >> 1, 3]
-    items[:, 2] = dst if t.vert_ids is None else t.vert_ids[dst]
-    items[:, 3] = seq & 1
+    items = np.empty((seq.size, 2), dtype=np.int64)
+    items[:, 0] = edges[seq >> 1, 3] | (seq & 1) << FORWARD_SHIFT
+    items[:, 1] = dst if t.vert_ids is None else t.vert_ids[dst]
     return items, np.array(recs, dtype=t.offsets.dtype).reshape(-1, 4)

@@ -18,8 +18,9 @@ Phase 1 "persisted to disk") and the pathMaps, from which two things follow:
   unroll starts on it, so no splice could push it, and on R-MAT inputs it
   passes through nearly every junction.
 
-The unroll consumes ItemArrays (packed ``int64 (n, 4)`` bodies, see
-:mod:`repro.core.pathmap`), each a row slice of its Phase-1 run's block
+The unroll consumes ItemArrays (packed ``int64 (n, 2)`` bodies of
+``(ref | forward << 62, dst)`` rows, see :mod:`repro.core.pathmap`), each
+a row slice of its Phase-1 run's block
 read with :meth:`~repro.core.pathmap.FragmentStore.body` — no fragment
 object is built. Fragment reversal and rotation are pure array
 ops (:func:`_reverse_items` / :func:`_rotate_to`), and each pushed body is
@@ -45,7 +46,14 @@ import numpy as np
 
 from ..errors import InvariantViolation
 from .circuit import EulerCircuit
-from .pathmap import ITEM_EDGE, ITEM_FRAG, KIND_CYCLE, FragmentStore
+from .pathmap import (
+    FID_MIN,
+    FORWARD,
+    FORWARD_SHIFT,
+    KIND_CYCLE,
+    REF_MASK,
+    FragmentStore,
+)
 
 __all__ = ["reconstruct_circuit", "build_pending_index"]
 
@@ -58,7 +66,8 @@ def build_pending_index(
     Returns ``vertex -> [fid, ...]`` in deterministic (fid) order. Indexing
     *all* junctions — not just the anchor — is what makes splicing work even
     when a cycle's anchor vertex is only reachable deep inside another
-    fragment's expansion (the multi-component generalization in DESIGN.md).
+    fragment's expansion (the multi-component generalization described in
+    ARCHITECTURE.md's "Phase 3" section).
     """
     index: dict[int, list[int]] = defaultdict(list)
     fids = sorted(set(int(f) for f in anchored_fids))
@@ -66,7 +75,7 @@ def build_pending_index(
         if store.kind_of(fid) != KIND_CYCLE:
             raise InvariantViolation(f"anchored fragment {fid} is not a cycle")
         items, src = store.body(fid)
-        verts = np.unique(np.append(items[:, 2], src))
+        verts = np.unique(np.append(items[:, 1], src))
         for v in verts.tolist():
             index[v].append(fid)
     return dict(index)
@@ -76,18 +85,16 @@ def _reverse_items(items: np.ndarray, src: int) -> np.ndarray:
     """ItemArray for traversing a fragment backwards (dst -> src).
 
     Row ``i`` of the result is row ``n-1-i`` of the input with its ``dst``
-    replaced by the *preceding* junction and its direction flag flipped
-    (the flip only matters for ``ITEM_FRAG`` rows; edge rows keep a
-    consistent traversal direction for free).
+    replaced by the *preceding* junction and its direction bit flipped
+    (the flip only matters for fragment rows; edge rows keep a consistent
+    traversal direction for free).
     """
     n = items.shape[0]
     out = items[::-1].copy()
-    junctions = np.empty(n, dtype=np.int64)
     if n:
-        junctions[0] = src
-        junctions[1:] = items[:-1, 2]
-    out[:, 2] = junctions[::-1]
-    out[:, 3] = 1 - out[:, 3]
+        out[-1, 1] = src
+        out[:-1, 1] = items[-2::-1, 1]
+    out[:, 0] ^= FORWARD
     return out
 
 
@@ -95,7 +102,7 @@ def _rotate_to(items: np.ndarray, src: int, pivot: int) -> np.ndarray:
     """Rotate a cycle's items so its junction walk starts/ends at ``pivot``."""
     if pivot == src:
         return items
-    hits = np.flatnonzero(items[:, 2] == pivot)
+    hits = np.flatnonzero(items[:, 1] == pivot)
     if hits.size == 0:
         raise InvariantViolation(f"pivot {pivot} not on cycle anchored at {src}")
     i = int(hits[0])
@@ -148,7 +155,7 @@ def reconstruct_circuit(
     stack: list = []  # frames: [flat row-major int64 view of a body, pos]
 
     def push(items: np.ndarray) -> None:
-        # A zero-copy flat view: row ``i`` is ``body[4*i : 4*i + 4]``.
+        # A zero-copy flat view: row ``i`` is ``body[2*i : 2*i + 2]``.
         if items.shape[0]:
             body = np.ascontiguousarray(items, dtype=np.int64)
             stack.append([memoryview(body).cast("B").cast("q"), 0])
@@ -175,17 +182,18 @@ def reconstruct_circuit(
             if pos >= len(body):
                 stack.pop()
                 continue
-            frame[1] = pos + 4
-            dst = body[pos + 2]
-            if body[pos] == ITEM_EDGE:
-                eout[n] = body[pos + 1]
+            frame[1] = pos + 2
+            ref = body[pos] & REF_MASK
+            if ref < FID_MIN:
+                eout[n] = ref
                 n += 1
+                dst = body[pos + 1]
                 vout[n] = dst
                 if pending_get(dst) is not None:
                     splice_at(dst)
             else:
-                sub, src = store.body(body[pos + 1])
-                if not body[pos + 3]:
+                sub, src = store.body(ref)
+                if not body[pos] >> FORWARD_SHIFT:
                     sub = _reverse_items(sub, src)
                 push(sub)
                 # The entry vertex was already emitted (it equals the
@@ -237,7 +245,7 @@ def _expand_plain(
     stack: list = []  # frames: [items, frag_rows, cursor, pos]
 
     def push(items: np.ndarray) -> None:
-        frag_rows = np.flatnonzero(items[:, 0] == ITEM_FRAG).tolist()
+        frag_rows = np.flatnonzero(items[:, 0] & REF_MASK >= FID_MIN).tolist()
         stack.append([items, frag_rows, 0, 0])
 
     push(items)
@@ -246,19 +254,19 @@ def _expand_plain(
         items, frag_rows, fi, pos = frame
         if fi >= len(frag_rows):
             if pos < items.shape[0]:
-                e_parts.append(items[pos:, 1])
-                v_parts.append(items[pos:, 2])
+                e_parts.append(items[pos:, 0] & REF_MASK)
+                v_parts.append(items[pos:, 1])
             stack.pop()
             continue
         h = frag_rows[fi]
         frame[2] = fi + 1
         frame[3] = h + 1
         if h > pos:
-            e_parts.append(items[pos:h, 1])
-            v_parts.append(items[pos:h, 2])
-        _, ref, _dst, forward = items[h].tolist()
-        sub, src = store.body(ref)
-        if not forward:
+            e_parts.append(items[pos:h, 0] & REF_MASK)
+            v_parts.append(items[pos:h, 1])
+        code = int(items[h, 0])
+        sub, src = store.body(code & REF_MASK)
+        if not code >> FORWARD_SHIFT:
             sub = _reverse_items(sub, src)
         push(sub)
     verts = np.concatenate(v_parts)

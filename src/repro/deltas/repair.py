@@ -20,9 +20,9 @@ Why replay is bit-exact rather than merely close:
   apart.
 * A graph delta re-keys surviving edges; :meth:`GraphDelta.eid_map` is
   monotonic over survivors, so remapping a cached EdgeTable's
-  ``EDGE_RAW`` refs (and the cached block's ``ITEM_EDGE`` refs)
-  lands them exactly where a cold run on the mutated graph would put
-  them. A node whose remapped inputs differ from the actuals — a dirty
+  ``EDGE_RAW`` refs (and the cached block's edge refs, direction bit
+  kept) lands them exactly where a cold run on the mutated graph would
+  put them. A node whose remapped inputs differ from the actuals — a dirty
   partition, or any merge ancestor of one — simply misses the cache and
   runs fresh, which *is* the cold computation for that node.
 
@@ -46,7 +46,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core.pathmap import ITEM_EDGE
+from ..core.pathmap import FID_MIN, FORWARD, REF_MASK
 from ..core.phase1 import EDGE_RAW
 from ..graph.partition import PartitionedGraph
 from ..pipeline.program import SuperstepProgram
@@ -231,9 +231,9 @@ class RepairSession:
                 del self.cache[key]
                 continue
             table[raw, 3] = refs
-            items = entry.block.items
-            tagged = items[:, 0] == ITEM_EDGE
-            items[tagged, 1] = emap[items[tagged, 1]]
+            code = entry.block.items[:, 0]
+            rows = np.flatnonzero(code & REF_MASK < FID_MIN)
+            code[rows] = emap[code[rows] & REF_MASK] | code[rows] & FORWARD
 
     # -- the Phase-1 hook ----------------------------------------------------
 

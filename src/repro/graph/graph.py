@@ -9,9 +9,10 @@ driven by the paper (§3.1) and the HPC guides:
   improvement need edge *identity*, not just endpoint pairs, and parallel
   edges must be representable — hence a multigraph keyed by edge id.
 * Endpoints live in NumPy ``int64`` arrays; adjacency is CSR built once
-  (vectorized, see :mod:`repro.graph.csr`) and cached. A :class:`Graph` is
-  immutable after construction — mutation happens by building a new graph
-  (see :class:`GraphBuilder`), which keeps the CSR cache trivially coherent.
+  (at the graph's index width, see :mod:`repro.graph.csr`) and cached. A
+  :class:`Graph` is immutable after construction — mutation happens by
+  building a new graph (see :class:`GraphBuilder`), which keeps the CSR
+  cache trivially coherent.
 """
 
 from __future__ import annotations
@@ -21,23 +22,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .csr import build_csr
+from .csr import build_csr, index_dtype
 
 __all__ = ["Graph", "GraphBuilder", "index_dtype"]
-
-
-def index_dtype(n_ids: int, n_edges: int) -> type[np.signedinteger]:
-    """The storage width of a run's vertex-, edge- and slot-index tables.
-
-    ``np.int32`` when every vertex id is below 2**31 (``n_ids`` is one past
-    the largest) and the half-edge slot codes ``edge << 1 | forward`` fit,
-    i.e. ``2 * n_edges < 2**31``; ``np.int64`` otherwise. Only storage
-    narrows: arithmetic on these tables stays 64-bit, and tables that carry
-    fragment ids, like every output, stay ``int64``.
-    """
-    if n_ids <= 1 << 31 and 2 * n_edges < 1 << 31:
-        return np.int32
-    return np.int64
 
 
 class Graph:
@@ -161,7 +148,8 @@ class Graph:
 
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cached CSR triple ``(offsets, targets, eids)`` (built lazily)."""
+        """The cached CSR triple ``(offsets, targets, eids)``, at the
+        graph's index width (built lazily)."""
         if self._csr is None:
             self._csr = build_csr(self._n, self._u, self._v)
         return self._csr
@@ -183,8 +171,14 @@ class Graph:
                 self._csr = None
 
     def degrees(self) -> np.ndarray:
-        """Vector of undirected degrees (self loops count 2, as in the paper)."""
-        return np.diff(self.csr[0])
+        """Vector of undirected degrees (self loops count 2, as in the paper).
+
+        Two ``bincount`` passes over the endpoint arrays: int64, O(n), and
+        no CSR is built for it.
+        """
+        deg = np.bincount(self._u, minlength=self._n)
+        deg += np.bincount(self._v, minlength=self._n)
+        return deg
 
     def degree(self, vertex: int) -> int:
         """Degree of a single vertex."""

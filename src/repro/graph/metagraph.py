@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import index_dtype
 from .partition import PartitionedGraph
 
 __all__ = ["MetaGraph", "build_metagraph"]
@@ -75,18 +76,19 @@ def build_metagraph(pg: PartitionedGraph) -> MetaGraph:
     """Construct the meta-graph of a partitioned graph (vectorized).
 
     The weight of ``(i, j)`` counts *undirected* cut edges between the
-    partitions, matching ``w(m_ij)`` in §3.1.
+    partitions, matching ``w(m_ij)`` in §3.1: one ``bincount`` of the cut
+    edges' ordered pair codes at the graph's index width, folded onto
+    ``i < j``.
     """
+    k = pg.n_parts
     cut = ~pg.local_mask
-    pu = pg.part_of[pg.graph.edge_u[cut]] if pg.graph.n_edges else np.empty(0, np.int64)
-    pv = pg.part_of[pg.graph.edge_v[cut]] if pg.graph.n_edges else np.empty(0, np.int64)
-    lo = np.minimum(pu, pv)
-    hi = np.maximum(pu, pv)
-    weights: dict[tuple[int, int], int] = {}
-    if lo.size:
-        # Encode pairs into a single int for a vectorized group-by.
-        code = lo * pg.n_parts + hi
-        uniq, counts = np.unique(code, return_counts=True)
-        for c, cnt in zip(uniq.tolist(), counts.tolist()):
-            weights[(c // pg.n_parts, c % pg.n_parts)] = int(cnt)
-    return MetaGraph(list(range(pg.n_parts)), weights)
+    pu, pv = pg.endpoint_parts()
+    width = index_dtype(max(pg.graph.n_vertices, k * k), pg.graph.n_edges)
+    code = pu[cut].astype(width) * k
+    code += pv[cut]
+    ordered = np.bincount(code, minlength=k * k).reshape(k, k)
+    pairs = ordered + ordered.T
+    lo, hi = np.nonzero(np.triu(pairs, 1))
+    weights = {(i, j): int(pairs[i, j])
+               for i, j in zip(lo.tolist(), hi.tolist())}
+    return MetaGraph(list(range(k)), weights)

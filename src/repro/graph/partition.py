@@ -108,10 +108,18 @@ class PartitionedGraph:
             )
         self.graph = graph
         self.part_of = part_of
+        pu, pv = self.endpoint_parts()
         #: Boolean mask over undirected edges: True where both endpoints share
         #: a partition (a *local* edge). The only per-edge table kept: the
         #: endpoint partition columns are gathered where they are read.
-        self.local_mask = part_of[graph.edge_u] == part_of[graph.edge_v]
+        self.local_mask = pu == pv
+
+    def endpoint_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(part_of[edge_u], part_of[edge_v])``, gathered afresh at the
+        narrowest unsigned dtype that holds ``n_parts`` (one byte per edge
+        up to 255 parts)."""
+        part = self.part_of.astype(np.min_scalar_type(self.n_parts))
+        return part[self.graph.edge_u], part[self.graph.edge_v]
 
     # -- global statistics ---------------------------------------------------
 

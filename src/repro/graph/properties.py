@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..errors import DisconnectedGraphError, NotEulerianError
 from .graph import Graph
 from .traversal import _ranges
@@ -40,10 +41,23 @@ def connected_components(graph: Graph) -> np.ndarray:
     """Label vertices by connected component.
 
     Returns an ``int64`` array ``comp`` with ``comp[v]`` in ``[0, k)`` for
-    ``k`` components. Implemented as an iterative frontier BFS over the CSR
-    arrays — NumPy-vectorized per frontier so large graphs stay fast without
-    recursion.
+    ``k`` components, numbered in the order of their smallest vertex. The
+    kernel library's union-find (``components.c``) reads the edge arrays
+    and holds only the labels; without a compiler,
+    :func:`_components_reference` gives the same labels.
     """
+    native = kernels.load()
+    if native is None:
+        return _components_reference(graph)
+    return native.components(graph.n_vertices,
+                             np.ascontiguousarray(graph.edge_u),
+                             np.ascontiguousarray(graph.edge_v))[0]
+
+
+def _components_reference(graph: Graph) -> np.ndarray:
+    """:func:`connected_components` as an iterative frontier BFS over the
+    CSR arrays, NumPy-vectorized per frontier: the reference the kernel
+    must match."""
     n = graph.n_vertices
     comp = np.full(n, -1, dtype=np.int64)
     if n == 0:
@@ -77,11 +91,16 @@ def connected_components(graph: Graph) -> np.ndarray:
 
 
 def n_edge_components(graph: Graph) -> int:
-    """Number of connected components that contain at least one edge."""
+    """Number of connected components that contain at least one edge.
+
+    Counts the distinct labels of the edge-bearing vertices (positive
+    degree): O(n) beside the labels.
+    """
     if graph.n_edges == 0:
         return 0
+    edge_bearing = graph.degrees() > 0
     comp = connected_components(graph)
-    return len(np.unique(comp[graph.edge_u]))
+    return int(np.count_nonzero(np.bincount(comp[edge_bearing])))
 
 
 def is_connected(graph: Graph, ignore_isolated: bool = True) -> bool:
@@ -113,6 +132,9 @@ def is_eulerian(graph: Graph) -> bool:
 
 def check_eulerian(graph: Graph) -> None:
     """Raise a descriptive error if the graph has no Euler circuit.
+
+    Degrees come from the endpoint arrays and components from the
+    union-find kernel, so the check builds no CSR and holds O(n) scratch.
 
     Raises
     ------

@@ -12,7 +12,8 @@
  * instantiation its own symbols. Loop counters and index arithmetic stay
  * 64-bit; only storage narrows. The EdgeTable (``edges``) and the ItemArray
  * (``items``) are int64 at both widths: their ``ref`` column carries
- * fragment ids.
+ * fragment ids. An ItemArray row is ``(ref | forward << 62, dst)``; the
+ * ref alone says whether it is an edge or a fragment (``pathmap.py``).
  *
  * Vertices are local indices into the CSR tables; ``vert_ids`` maps them
  * to global ids (NULL in dense mode, where local == global). Walk kinds
@@ -166,12 +167,10 @@ i64 FN(phase1_walk)(i64 m, i64 size, const IDX *offsets, const IDX *slot_enc,
                 continue;
             }
             i64 at = woff[c] + (rot[c] + step) % len;
-            i64 e = enc[at], *row = items + 4 * pos++;
+            i64 e = enc[at], *row = items + 2 * pos++;
             v = loc[at];
-            row[0] = edges[4 * (e >> 1) + 2];
-            row[1] = edges[4 * (e >> 1) + 3];
-            row[2] = vert_ids ? vert_ids[v] : v;
-            row[3] = e & 1;
+            row[0] = edges[4 * (e >> 1) + 3] | (e & 1) << 62;
+            row[1] = vert_ids ? vert_ids[v] : v;
         }
         recs[4 * w + 3] = (IDX)(pos - row0);
     }

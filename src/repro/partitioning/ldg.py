@@ -10,12 +10,20 @@ single-machine stand-in for ParHIP [34], which the paper uses offline.
 A BFS vertex order (default) substantially improves locality over the natural
 id order because neighbours tend to be placed while their cluster is still
 "open".
+
+Both the BFS order and the streaming pass run in the kernel library
+(``setup.c``) over the graph's index-width CSR; the NumPy versions here
+are the no-compiler fallback and the reference the kernels must match,
+map for map, so persisted partition maps stay valid.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
+from .. import kernels
 from ..graph.graph import Graph
 from ..graph.partition import PartitionedGraph
 
@@ -27,16 +35,23 @@ def bfs_order(graph: Graph, seed: int = 0) -> np.ndarray:
 
     Deterministic for a given graph and seed; the seed picks the restart
     vertex preference (vertices are tried in a seeded shuffle order).
+    Runs in the kernel library (``setup.c``), or in
+    :func:`_bfs_order_reference` without a compiler.
     """
-    n = graph.n_vertices
     offsets, targets, _ = graph.csr
-    rng = np.random.default_rng(seed)
-    starts = rng.permutation(n)
+    starts = np.random.default_rng(seed).permutation(graph.n_vertices)
+    native = kernels.load()
+    if native is None:
+        return _bfs_order_reference(offsets, targets, starts)
+    return native.bfs_order(offsets, targets, starts)
+
+
+def _bfs_order_reference(offsets, targets, starts) -> np.ndarray:
+    """:func:`bfs_order` with a deque: the reference ``setup.c`` must match."""
+    n = starts.size
     seen = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
     pos = 0
-    from collections import deque
-
     for s in starts:
         if seen[s]:
             continue
@@ -96,11 +111,28 @@ def ldg_partition(
             raise ValueError("order must be a permutation of all vertices")
 
     capacity = int(np.ceil(n / n_parts * (1.0 + slack))) if n else 0
-    part = np.full(n, -1, dtype=np.int64)
-    load = np.zeros(n_parts, dtype=np.int64)
     offsets, targets, _ = graph.csr
+    native = kernels.load()
+    if native is None:
+        part = _ldg_reference(offsets, targets, order_arr, n_parts, capacity)
+    else:
+        part = native.ldg(offsets, targets, np.ascontiguousarray(order_arr),
+                          n_parts, capacity)
+    return PartitionedGraph(graph, part, n_parts)
 
-    for v in order_arr:
+
+def _ldg_reference(offsets, targets, order, n_parts: int,
+                   capacity: int) -> np.ndarray:
+    """LDG's streaming pass in NumPy: the reference ``setup.c`` must match.
+
+    A vertex goes to the part with the highest float64 score
+    ``count * (1 - load / capacity)`` over its placed neighbours; full
+    parts score -inf, ties go to the first maximum, and when every part
+    is full the least-loaded part wins.
+    """
+    part = np.full(offsets.size - 1, -1, dtype=np.int64)
+    load = np.zeros(n_parts, dtype=np.int64)
+    for v in order:
         neigh = targets[offsets[v] : offsets[v + 1]]
         placed = part[neigh]
         scores = np.zeros(n_parts, dtype=np.float64)
@@ -116,4 +148,4 @@ def ldg_partition(
             best = int(np.argmin(load))
         part[v] = best
         load[best] += 1
-    return PartitionedGraph(graph, part, n_parts)
+    return part

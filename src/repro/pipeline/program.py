@@ -255,6 +255,18 @@ class SuperstepProgram:
             pid, level, local_edges, remote_deg, batch, validate=self.validate
         )
 
+    def installed_remotely(self) -> None:
+        """Drop every level-0 table and deferred shipment from this copy.
+
+        The remote executor calls this once every worker host has
+        acknowledged the install: the coordinator never calls its
+        program, so these tables have no reader left in its process, and
+        releasing them before the first superstep leaves their memory to
+        the blocks the hosts send back.
+        """
+        for table in (self.local0, self.rdeg0, self.held0, self.extras):
+            table.clear()
+
     # ---- parent-side commit (the single shared-state mutation point) ------
     def make_commit(self, store: FragmentStore):
         """Commit hook adopting each superstep's fragment blocks in pid order.

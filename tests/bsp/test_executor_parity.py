@@ -24,7 +24,8 @@ from repro.bsp import (
     make_executor,
     shm,
 )
-from repro.core import find_euler_circuit, phase1, verify_circuit, walk_kernel
+from repro import kernels
+from repro.core import find_euler_circuit, phase1, verify_circuit
 from repro.errors import UnknownExecutorError
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs.remote import WorkerHost
@@ -187,8 +188,8 @@ def test_seed_goldens_on_both_phase1_walks(golden_graphs, case, walk,
     """The native Phase-1 kernel and the Python reference walk both
     reproduce the goldens (the other backends run whichever loaded)."""
     if walk == "reference":
-        monkeypatch.setattr(walk_kernel, "load", lambda: None)
-    elif walk_kernel.load() is None:
+        monkeypatch.setattr(kernels, "load", lambda: None)
+    elif kernels.load() is None:
         pytest.skip("no working C compiler: the native walk is unavailable")
     strategy = case.split("/")[1].rsplit("-", 1)[0]
     res = find_euler_circuit(

@@ -136,7 +136,7 @@ def test_cumulative_state_monotonically_nonincreasing():
 def test_path_fragments_all_consumed(grid8):
     """Every OB-pair path fragment must be referenced by a higher-level
     fragment; only cycles are splice-pending."""
-    from repro.core.pathmap import ITEM_FRAG, KIND_PATH
+    from repro.core.pathmap import FID_MIN, KIND_PATH, REF_MASK
 
     res = find_euler_circuit(grid8, n_parts=4)
     store = res.store
@@ -144,6 +144,7 @@ def test_path_fragments_all_consumed(grid8):
     referenced = set()
     for fid, *_ in census:
         items, _ = store.body(fid)
-        referenced.update(items[items[:, 0] == ITEM_FRAG, 1].tolist())
+        refs = items[:, 0] & REF_MASK
+        referenced.update(refs[refs >= FID_MIN].tolist())
     paths = [fid for fid, kind, *_ in census if kind == KIND_PATH]
     assert paths and set(paths) <= referenced

@@ -80,6 +80,9 @@ def test_merge_level_of():
     assert tree.merge_level_of(0, 2) == 1
     assert tree.merge_level_of(1, 2) == 1
     assert tree.merge_level_of(0, 0) == 0  # same partition: level 0 trivially
+    # The leaf-pair table the placement reads agrees pair by pair.
+    assert tree.merge_levels().tolist() == [
+        [tree.merge_level_of(i, j) for j in range(4)] for i in range(4)]
     with pytest.raises(ValueError):
         tree.merge_level_of(0, 99)
 

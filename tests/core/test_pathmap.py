@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.pathmap import (
-    ITEM_EDGE,
-    ITEM_FRAG,
+    FID_MIN,
     KIND_CYCLE,
+    REF_MASK,
     KIND_PATH,
     FragmentBatch,
     FragmentStore,
@@ -16,11 +16,11 @@ from repro.core.pathmap import (
     make_fid,
 )
 from repro.core.phase1 import run_phase1
-from tests.helpers import edges_of, fragment_census, rdeg_of, store_of
+from tests.helpers import edges_of, fragment_census, item, rdeg_of, store_of
 
 
 def test_spill_and_reload(tmp_path):
-    rows = [(ITEM_EDGE, 0, 2, 1), (ITEM_FRAG, 9, 3, 1)]
+    rows = [item(0, 2, 1), item(make_fid(0, 9, 0), 3, 1)]
     s, (fid,) = store_of((KIND_PATH, 0, 1, 1, 3, rows, 4),
                          spill_dir=tmp_path / "frags")
     assert s.spill_level(0) == 1
@@ -81,7 +81,7 @@ def test_batch_pickles_as_its_block_without_copying_the_items():
 
 
 def test_spill_without_dir_raises():
-    s, _ = store_of((KIND_PATH, 0, 0, 0, 1, [(ITEM_EDGE, 0, 1, 1)], 1))
+    s, _ = store_of((KIND_PATH, 0, 0, 0, 1, [item(0, 1, 1)], 1))
     with pytest.raises(ValueError):
         s.spill_level(0)
 
@@ -100,9 +100,9 @@ def test_columns_are_the_store_read_view():
     """``columns()`` lists every fragment in fid order across blocks; the
     per-fid reads and ``cycles()`` agree with it."""
     s, fids = store_of(
-        (KIND_CYCLE, 1, 0, 4, 4, [(ITEM_EDGE, 2, 5, 1), (ITEM_EDGE, 3, 4, 0)], 2),
-        (KIND_PATH, 0, 2, 1, 2, [(ITEM_EDGE, 0, 2, 1)], 1),
-        (KIND_CYCLE, 0, 2, 3, 3, [(ITEM_EDGE, 1, 3, 1)], 1),
+        (KIND_CYCLE, 1, 0, 4, 4, [item(2, 5, 1), item(3, 4, 0)], 2),
+        (KIND_PATH, 0, 2, 1, 2, [item(0, 2, 1)], 1),
+        (KIND_CYCLE, 0, 2, 3, 3, [item(1, 3, 1)], 1),
     )
     assert fids == [make_fid(1, 0, 0), make_fid(0, 2, 0), make_fid(0, 2, 1)]
     assert fragment_census(s) == [
@@ -120,6 +120,16 @@ def test_columns_are_the_store_read_view():
     empty = FragmentStore().columns()
     assert all(col.size == 0 for col in empty.values())
     assert empty["kind"].dtype == np.int8 and empty["fid"].dtype == np.int64
+
+
+def test_every_fid_lies_between_the_edge_ids_and_the_direction_bit():
+    """``make_fid`` keeps fids in ``[2**52, 2**62)``, so an ItemArray ref
+    is a fragment exactly when it is at least ``FID_MIN``."""
+    assert make_fid(0, 0, 0) == FID_MIN == 1 << 52
+    assert make_fid(1022, (1 << 20) - 1, (1 << 32) - 1) == REF_MASK
+    for level in (-1, 1023):
+        with pytest.raises(ValueError, match="level"):
+            make_fid(level, 0, 0)
 
 
 def test_pathmap_defaults():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pathmap import (
-    ITEM_EDGE,
-    ITEM_FRAG,
+    FID_MIN,
+    FORWARD_SHIFT,
     KIND_CYCLE,
+    REF_MASK,
     FragmentBatch,
     FragmentStore,
     make_fid,
@@ -127,7 +128,7 @@ def test_merge_into_at_pivot():
     # The merged fragment passes through the pivot twice: its junctions
     # are its src, then the dst column.
     items, src = store.body(pm.anchored_cycles[0])
-    assert [src, *items[:, 2].tolist()].count(1) == 2
+    assert [src, *items[:, 1].tolist()].count(1) == 2
 
 
 def test_disconnected_partition_anchors_orphans():
@@ -160,12 +161,12 @@ def test_coarse_edges_traversed_with_orientation():
     store.adopt(batch)
     assert len(pm.anchored_cycles) == 1
     items, _ = store.body(pm.anchored_cycles[0])
-    frag_items = [it for it in items.tolist() if it[0] == ITEM_FRAG]
+    frag_items = items[items[:, 0] & REF_MASK >= FID_MIN].tolist()
     assert len(frag_items) == 1
-    _, fid, dst, forward = frag_items[0]
-    assert fid == prior
+    (code, dst), = frag_items
+    assert code & REF_MASK == prior
     # Traversal from vertex 1 along (1,2) is forward; from 2 it is backward.
-    assert forward == (dst == 2)
+    assert code >> FORWARD_SHIFT == (dst == 2)
     assert _edges(pm.anchored_cycles, store) == [2]
 
 
@@ -187,7 +188,7 @@ def test_parallel_edges_consumed_once_each():
     local = edges_of([(u, v, EDGE_RAW, e) for e, u, v in g.iter_edges()])
     pm, _ = run_phase1(0, 0, local, NO_REMOTE, store, validate=True)
     items, _ = store.body(pm.anchored_cycles[0])
-    assert sorted(items[:, 1].tolist()) == [0, 1]
+    assert sorted((items[:, 0] & REF_MASK).tolist()) == [0, 1]
 
 
 @settings(deadline=None, max_examples=30)
@@ -209,9 +210,9 @@ def test_property_lemmas_and_conservation(seed, n_parts):
         seen: list[int] = []
 
         def collect(fid):
-            for it in store.body(fid)[0].tolist():
-                assert it[0] == ITEM_EDGE  # level 0: no coarse refs
-                seen.append(it[1])
+            for code, _ in store.body(fid)[0].tolist():
+                assert code & REF_MASK < FID_MIN  # level 0: no coarse refs
+                seen.append(code & REF_MASK)
 
         for _, _, fid in pm.ob_paths:
             collect(fid)
@@ -250,8 +251,12 @@ _PENDANT = [(0, 1, EDGE_RAW, 0), (1, 2, EDGE_RAW, 1), (2, 0, EDGE_RAW, 2),
      r"local_edges must be an int64 \(n, 4\) array; got list"),
     (edges_of(_PENDANT)[:, :3], rdeg_of({2: 1, 3: 1}),
      r"local_edges must be an int64 \(n, 4\) array; got int64 \(4, 3\)"),
+    (edges_of(_PENDANT[:3] + [(2, 3, EDGE_COARSE, 3)]), rdeg_of({2: 1, 3: 1}),
+     r"coarse edges with fragment ids in \[2\*\*52, 2\*\*62\)"),
+    (edges_of(_PENDANT[:3] + [(2, 3, EDGE_RAW, make_fid(0, 0, 0))]),
+     rdeg_of({2: 1, 3: 1}), r"raw edges with refs in \[0, 2\*\*52\)"),
 ], ids=["unsorted-with-zero-degree", "duplicate-vertex", "dict", "int32",
-        "tuple-list", "three-columns"])
+        "tuple-list", "three-columns", "coarse-eid", "raw-fid"])
 def test_validate_checks_the_table_contract(local, rdeg, match):
     """Under validate, inputs that are not the packed, canonical tables
     raise rather than being normalized: an unsorted table with a zero row

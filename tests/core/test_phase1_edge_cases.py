@@ -149,4 +149,4 @@ def test_sparse_vertex_id_space_fallback():
     dpm, _ = run_phase1(0, 0, dense_local, NO_REMOTE, dense_store, validate=True)
     dense_items = dense_store.body(dpm.anchored_cycles[0])[0]
     items = store.body(pm.anchored_cycles[0])[0]
-    assert dense_items[:, 1].tolist() == items[:, 1].tolist()
+    assert dense_items[:, 0].tolist() == items[:, 0].tolist()

@@ -7,16 +7,16 @@ import pytest
 
 from repro.core import phase1
 from repro.core.circuit import verify_circuit
-from repro.core.pathmap import ITEM_EDGE, ITEM_FRAG, KIND_CYCLE, KIND_PATH, make_fid
+from repro.core.pathmap import FORWARD, KIND_CYCLE, KIND_PATH, make_fid
 from repro.core.phase3 import _reverse_items, _rotate_to, build_pending_index, reconstruct_circuit
 from repro.errors import InvariantViolation
 from repro.generate.eulerize import eulerian_rmat
 from repro.graph.graph import Graph
 from repro.pipeline import RunConfig, run_pipeline
-from tests.helpers import store_of
+from tests.helpers import item, store_of
 
 #: The triangle 0 -e0-> 1 -e1-> 2 -e2-> 0 as an ItemArray body.
-TRIANGLE = [(ITEM_EDGE, 0, 1, 1), (ITEM_EDGE, 1, 2, 1), (ITEM_EDGE, 2, 0, 1)]
+TRIANGLE = [item(0, 1, 1), item(1, 2, 1), item(2, 0, 1)]
 
 
 def _items(rows):
@@ -25,25 +25,27 @@ def _items(rows):
 
 def test_reverse_items_edges():
     # Path 5 -e0-> 6 -e1-> 7 reversed: 7 -e1-> 6 -e0-> 5 (the dst column
-    # shifts to the preceding junction; direction flags flip).
-    items = _items([(ITEM_EDGE, 0, 6, 1), (ITEM_EDGE, 1, 7, 1)])
+    # shifts to the preceding junction; direction bits flip).
+    items = _items([item(0, 6, 1), item(1, 7, 1)])
     rev = _reverse_items(items, 5)
-    assert rev[:, :3].tolist() == [[ITEM_EDGE, 1, 6], [ITEM_EDGE, 0, 5]]
+    assert rev.tolist() == [list(item(1, 6, 0)), list(item(0, 5, 0))]
 
 
 def test_reverse_items_flips_frag_orientation():
-    items = _items([(ITEM_FRAG, 3, 6, 1), (ITEM_EDGE, 1, 7, 1)])
+    frag = make_fid(0, 3, 0)
+    items = _items([item(frag, 6, 1), item(1, 7, 1)])
     rev = _reverse_items(items, 5)
-    assert rev[0].tolist() == [ITEM_EDGE, 1, 6, 0]
-    assert rev[1].tolist() == [ITEM_FRAG, 3, 5, 0]  # forward flag flipped
+    assert rev[0].tolist() == list(item(1, 6, 0))
+    assert rev[1].tolist() == list(item(frag, 5, 0))  # forward bit flipped
+    assert (rev[:, 0] ^ items[::-1, 0]).tolist() == [FORWARD, FORWARD]
 
 
 def test_rotate_to():
     # Cycle 1 -a-> 2 -b-> 3 -c-> 1 rotated to start at 3.
-    items = _items([(ITEM_EDGE, 0, 2, 1), (ITEM_EDGE, 1, 3, 1), (ITEM_EDGE, 2, 1, 1)])
+    items = _items([item(0, 2, 1), item(1, 3, 1), item(2, 1, 1)])
     rot = _rotate_to(items, 1, 3)
-    assert rot[:, 1].tolist() == [2, 0, 1]  # eids c, a, b
-    assert rot[:, 2].tolist() == [1, 2, 3]
+    assert (rot[:, 0] ^ FORWARD).tolist() == [2, 0, 1]  # eids c, a, b
+    assert rot[:, 1].tolist() == [1, 2, 3]
     assert _rotate_to(items, 1, 1) is items
     with pytest.raises(InvariantViolation):
         _rotate_to(items, 1, 99)
@@ -52,7 +54,7 @@ def test_rotate_to():
 def test_pending_index_covers_all_junctions():
     store, (fid,) = store_of((
         KIND_CYCLE, 0, 0, 1, 1,
-        [(ITEM_EDGE, 0, 2, 1), (ITEM_EDGE, 1, 3, 1), (ITEM_EDGE, 2, 1, 1)], 3,
+        [item(0, 2, 1), item(1, 3, 1), item(2, 1, 1)], 3,
     ))
     idx = build_pending_index(store, [fid])
     assert set(idx) == {1, 2, 3}
@@ -60,7 +62,7 @@ def test_pending_index_covers_all_junctions():
 
 
 def test_pending_index_rejects_paths():
-    store, (fid,) = store_of((KIND_PATH, 0, 0, 1, 2, [(ITEM_EDGE, 0, 2, 1)], 1))
+    store, (fid,) = store_of((KIND_PATH, 0, 0, 1, 2, [item(0, 2, 1)], 1))
     with pytest.raises(InvariantViolation):
         build_pending_index(store, [fid])
     with pytest.raises(InvariantViolation, match="not a cycle"):
@@ -78,7 +80,7 @@ def test_reconstruct_splices_pending_cycle(two_triangles):
     store, (base, pend) = store_of(
         (KIND_CYCLE, 1, 0, 0, 0, TRIANGLE, 3),
         (KIND_CYCLE, 0, 0, 0, 0,
-         [(ITEM_EDGE, 3, 3, 1), (ITEM_EDGE, 4, 4, 1), (ITEM_EDGE, 5, 0, 1)], 3),
+         [item(3, 3, 1), item(4, 4, 1), item(5, 0, 1)], 3),
     )
     c = reconstruct_circuit(store, [base, pend], base)
     verify_circuit(two_triangles, c)
@@ -90,9 +92,9 @@ def test_reconstruct_expands_nested_fragments_both_directions():
     p1, p2 = make_fid(0, 0, 0), make_fid(0, 1, 0)
     # Level-1 cycle at 0: forward along p1 (0->2), backward along p2 (2->0).
     store, (_, _, cyc) = store_of(
-        (KIND_PATH, 0, 0, 0, 2, [(ITEM_EDGE, 0, 1, 1), (ITEM_EDGE, 1, 2, 1)], 2),
-        (KIND_PATH, 0, 1, 0, 2, [(ITEM_EDGE, 3, 3, 1), (ITEM_EDGE, 2, 2, 1)], 2),
-        (KIND_CYCLE, 1, 1, 0, 0, [(ITEM_FRAG, p1, 2, 1), (ITEM_FRAG, p2, 0, 0)], 4),
+        (KIND_PATH, 0, 0, 0, 2, [item(0, 1, 1), item(1, 2, 1)], 2),
+        (KIND_PATH, 0, 1, 0, 2, [item(3, 3, 1), item(2, 2, 1)], 2),
+        (KIND_CYCLE, 1, 1, 0, 0, [item(p1, 2, 1), item(p2, 0, 0)], 4),
     )
     c = reconstruct_circuit(store, [cyc], cyc)
     verify_circuit(g, c)
@@ -106,13 +108,13 @@ def test_reconstruct_splice_inside_nested_expansion():
     p = make_fid(0, 0, 0)
     store, (_, pend, base) = store_of(
         # Path 0->2 via 1 found at level 0 (consumes e0, e1).
-        (KIND_PATH, 0, 0, 0, 2, [(ITEM_EDGE, 0, 1, 1), (ITEM_EDGE, 1, 2, 1)], 2),
+        (KIND_PATH, 0, 0, 0, 2, [item(0, 1, 1), item(1, 2, 1)], 2),
         # Pending cycle at vertex 1 (level 0): 1-3-4-1.
         (KIND_CYCLE, 0, 0, 1, 1,
-         [(ITEM_EDGE, 3, 3, 1), (ITEM_EDGE, 4, 4, 1), (ITEM_EDGE, 5, 1, 1)], 3),
+         [item(3, 3, 1), item(4, 4, 1), item(5, 1, 1)], 3),
         # Level-1 base cycle: coarse path 0->2, then edge 2-0. Vertex 1
         # only appears inside the coarse expansion.
-        (KIND_CYCLE, 1, 0, 0, 0, [(ITEM_FRAG, p, 2, 1), (ITEM_EDGE, 2, 0, 1)], 3),
+        (KIND_CYCLE, 1, 0, 0, 0, [item(p, 2, 1), item(2, 0, 1)], 3),
     )
     c = reconstruct_circuit(store, [base, pend], base)
     verify_circuit(g, c)
@@ -124,7 +126,7 @@ def test_unspliced_cycle_raises():
     store, (base, orphan) = store_of(
         (KIND_CYCLE, 0, 0, 0, 0, TRIANGLE, 3),
         (KIND_CYCLE, 0, 0, 5, 5,
-         [(ITEM_EDGE, 3, 6, 1), (ITEM_EDGE, 4, 7, 1), (ITEM_EDGE, 5, 5, 1)], 3),
+         [item(3, 6, 1), item(4, 7, 1), item(5, 5, 1)], 3),
     )
     with pytest.raises(InvariantViolation, match="never spliced"):
         reconstruct_circuit(store, [base, orphan], base)
@@ -157,7 +159,7 @@ def test_phase3_peak_above_its_inputs_stays_within_a_per_edge_budget(monkeypatch
     """Traced peak of one ``reconstruct_circuit`` call on a scale-12 R-MAT
     store, above the store it reads: the int64 outputs alone take 16 bytes
     per edge, and with the base cycle left out of the pending index the
-    call peaks near 18."""
+    call peaks near 17."""
     monkeypatch.setattr(phase1, "_TABLE_CACHE_BYTES", 0)
     g = eulerian_rmat(12, avg_degree=8.0, seed=3)[0]
     ctx = run_pipeline(Graph(g.n_vertices, g.edge_u, g.edge_v), RunConfig(n_parts=8))
@@ -170,4 +172,4 @@ def test_phase3_peak_above_its_inputs_stays_within_a_per_edge_budget(monkeypatch
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(circuit.edge_ids, ctx.circuit.edge_ids)
-    assert peak <= 24 * g.n_edges
+    assert peak <= 20 * g.n_edges

@@ -26,8 +26,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro
-from repro.core import phase1, walk_kernel
-from repro.core.pathmap import FragmentBatch, FragmentStore
+from repro import kernels
+from repro.core import phase1
+from repro.core.pathmap import FragmentBatch, FragmentStore, make_fid
 from repro.core.phase1 import EDGE_COARSE, EDGE_RAW, run_phase1
 from repro.errors import InvariantViolation
 from repro.generate.synthetic import random_eulerian
@@ -38,28 +39,29 @@ from tests.helpers import edges_of, fragment_census, rdeg_of
 @contextmanager
 def reference_walk():
     """Force the pure-Python walk (as if no compiler were available)."""
-    saved = walk_kernel.load
-    walk_kernel.load = lambda: None
+    saved = kernels.load
+    kernels.load = lambda: None
     try:
         yield
     finally:
-        walk_kernel.load = saved
+        kernels.load = saved
 
 
 def _require_native():
-    if walk_kernel.load() is None:
+    if kernels.load() is None:
         pytest.skip("no working C compiler: the native walk is unavailable")
 
 
 def _outcome(case, validate):
     """Everything one Phase-1 run produces, or the error it raised.
 
-    A case's ``priors`` are the coarse edges' fragments, by index: the run
-    reads only their raw-edge counts.
+    A case's ``priors`` are the coarse edges' fragments, by seq of a
+    level-0 run of partition 0: the run reads only their raw-edge counts.
     """
     pid, level, rows, priors, rdeg = case
     batch = FragmentBatch(pid, level, known_edges={
-        ref: n_edges for ref, (_, _, n_edges) in enumerate(priors)})
+        make_fid(0, 0, seq): n_edges
+        for seq, (_, _, n_edges) in enumerate(priors)})
     try:
         pm, stats = run_phase1(pid, level, edges_of(rows), rdeg_of(rdeg),
                                batch, validate=validate)
@@ -84,7 +86,7 @@ def arbitrary_graphs(draw):
     for e, (a, b, coarse) in enumerate(draw(st.lists(ends, max_size=40))):
         u, v = ids[a], ids[b]
         if coarse:
-            rows.append((u, v, EDGE_COARSE, len(priors)))
+            rows.append((u, v, EDGE_COARSE, make_fid(0, 0, len(priors))))
             priors.append((u, v, 1 + e % 3))
         else:
             rows.append((u, v, EDGE_RAW, e))
@@ -174,7 +176,7 @@ def test_both_widths_walk_identically(case):
     _require_native()
     edges, narrow, wide = _tables_at_both_widths(case)
     assert narrow.offsets.dtype == np.int32  # every id here fits
-    kernel = walk_kernel.load()
+    kernel = kernels.load().walk
     items, recs = kernel(narrow, edges)
     assert recs.dtype == np.int32 and items.dtype == np.int64
     for tables, walk in ((wide, kernel), (narrow, phase1._walk_reference),
@@ -197,10 +199,10 @@ def test_ids_beyond_int32_walk_at_int64():
     assert tables.vert_ids is not None and tables.offsets.dtype == np.int64
     reference = phase1._walk_reference(tables, edges)
     _require_native()
-    native = walk_kernel.load()(tables, edges)
+    native = kernels.load().walk(tables, edges)
     assert native[0].tobytes() == reference[0].tobytes()
     assert native[1].tobytes() == reference[1].tobytes()
-    assert sorted(native[0][:, 2].tolist()) == [5, big, big + 7]
+    assert sorted(native[0][:, 1].tolist()) == [5, big, big + 7]
 
 
 def test_lemma_violation_raises_the_same_error_on_both_paths():
@@ -224,7 +226,7 @@ def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path / "tmp"))
-    monkeypatch.setattr(walk_kernel, "_resolved", [])
+    monkeypatch.setattr(kernels, "_resolved", [])
     return tmp_path
 
 
@@ -251,7 +253,7 @@ def test_broken_compiler_falls_back_silently(fresh_cache, monkeypatch, capfd,
         fake.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
         fake.chmod(0o755)
     monkeypatch.setattr(shutil, "which", lambda name: fake and str(fake))
-    assert walk_kernel.load() is None
+    assert kernels.load() is None
     assert _outcome(_sample_case(), validate=True) == expected
     out, err = capfd.readouterr()
     assert out == err == ""
@@ -263,7 +265,7 @@ def test_concurrent_first_use_leaves_one_loadable_library(fresh_cache):
     _needs_cc()
     env = {**os.environ,
            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
-    code = "from repro.core import walk_kernel; print(walk_kernel._library())"
+    code = "from repro import kernels; print(kernels._library())"
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
                               stdout=subprocess.PIPE) for _ in range(3)]
     paths = set()
@@ -279,7 +281,7 @@ def test_concurrent_first_use_leaves_one_loadable_library(fresh_cache):
 
 def test_cache_directory_is_private(fresh_cache):
     _needs_cc()
-    assert walk_kernel.load() is not None
+    assert kernels.load() is not None
     lib_dir = fresh_cache / "xdg" / "repro-euler"
     assert stat.S_IMODE(lib_dir.stat().st_mode) == 0o700
     assert [p.suffix for p in lib_dir.iterdir()] == [".so"]
@@ -287,22 +289,22 @@ def test_cache_directory_is_private(fresh_cache):
 
 def test_library_not_owned_by_user_is_refused(fresh_cache, monkeypatch):
     _needs_cc()
-    walk_kernel._library()  # a genuine library sits in the cache
-    owned = walk_kernel._owned
-    monkeypatch.setattr(walk_kernel, "_owned",
+    kernels._library()  # a genuine library sits in the cache
+    owned = kernels._owned
+    monkeypatch.setattr(kernels, "_owned",
                         lambda p: p.suffix != ".so" and owned(p))
     opened = []
     monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: opened.append(a))
-    assert walk_kernel.load() is None
+    assert kernels.load() is None
     assert opened == []
 
 
 def test_cache_directory_not_owned_by_user_is_refused(fresh_cache, monkeypatch):
     _needs_cc()
-    walk_kernel._library()
+    kernels._library()
     uid = os.geteuid()
     monkeypatch.setattr(os, "geteuid", lambda: uid + 1)
     opened = []
     monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: opened.append(a))
-    assert walk_kernel.load() is None
+    assert kernels.load() is None
     assert opened == []

@@ -22,6 +22,7 @@ from repro.pipeline.context import RunConfig
 from repro.scenarios.base import run_scenario
 
 from tests.deltas.util import detour_delta, ring, superposed_cycles
+from tests.helpers import fragment_census
 
 
 def _circuits_equal(a, b):
@@ -155,6 +156,25 @@ def test_one_edge_repair_re_runs_one_leaf_and_its_ancestors():
     assert report["decision"] == "repair"
     assert report["dirty_parts"] == [0, 1]
     assert (report["misses"], report["hits"]) == (6, 57)
+
+
+def test_replayed_blocks_equal_the_cold_blocks_byte_for_byte():
+    """A replayed node installs its cached block remapped into the child's
+    eid space: every ItemArray row, direction bit included, equals what
+    the cold run wrote, not only the circuits built from them."""
+    g = superposed_cycles(40, seed=11)
+    delta = detour_delta(g, [3, 17])
+    session = RepairSession(threshold=1.0)
+    cfg = RunConfig(n_parts=4)
+    run_scenario(g, "circuit", replace(cfg, repair=session))
+    session.advance(delta)
+    child = delta.apply(g)
+    warm = run_scenario(child, "circuit", replace(cfg, repair=session))
+    cold = run_scenario(child, "circuit",
+                        replace(cfg, derived=session.derived_entry(child, cfg)))
+    assert session.hits > 0
+    assert (fragment_census(warm.sub_runs[0].context.store, bodies=True)
+            == fragment_census(cold.sub_runs[0].context.store, bodies=True))
 
 
 def test_advance_without_capture_reports_recompute():

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pathmap import _KINDS, FragmentBlock, FragmentStore, make_fid
+from repro.core.pathmap import (
+    _KINDS,
+    FORWARD_SHIFT,
+    FragmentBlock,
+    FragmentStore,
+    make_fid,
+)
 from repro.generate.synthetic import (
     cycle_graph,
     grid_city,
@@ -24,6 +30,7 @@ __all__ = [
     "edges_of",
     "rdeg_of",
     "store_of",
+    "item",
     "fragment_census",
 ]
 
@@ -54,11 +61,17 @@ def rdeg_of(degrees: dict) -> np.ndarray:
                     dtype=np.int64).reshape(-1, 2)
 
 
+def item(ref: int, dst: int, forward: int = 1) -> tuple[int, int]:
+    """One ItemArray row ``(ref | forward << 62, dst)``: an edge when
+    ``ref`` is an eid, a fragment when it is a fid."""
+    return (ref | forward << FORWARD_SHIFT, dst)
+
+
 def store_of(*fragments, spill_dir=None) -> tuple[FragmentStore, list[int]]:
     """A store holding hand-written fragments as Phase-1 blocks.
 
     Each fragment is ``(kind, level, pid, src, dst, rows, n_edges)`` with
-    ItemArray ``rows`` of ``(tag, ref, dst, forward)``. Fragments sharing a
+    ItemArray ``rows`` as :func:`item` writes them. Fragments sharing a
     ``(level, pid)`` share that run's block, in argument order, so each
     gets fid ``make_fid(level, pid, seq)``; every block is registered with
     ``add_block``. Returns the store and the fids in argument order.
@@ -72,7 +85,7 @@ def store_of(*fragments, spill_dir=None) -> tuple[FragmentStore, list[int]]:
     store = FragmentStore(spill_dir=spill_dir)
     for (level, pid), run in runs.items():
         kinds, _, _, srcs, dsts, bodies, n_edges = zip(*run)
-        bodies = [np.array(b, dtype=np.int64).reshape(-1, 4) for b in bodies]
+        bodies = [np.array(b, dtype=np.int64).reshape(-1, 2) for b in bodies]
         bounds = np.cumsum([0] + [len(b) for b in bodies], dtype=np.int64)
         store.add_block(FragmentBlock(
             level, pid, np.concatenate(bodies),

@@ -1,15 +1,17 @@
 """Run-table lifetimes: one copy of every table, none kept past its last reader.
 
 A run's static tables are the level-0 local edge ids, remote-degree tables
-and held half-edge rows (built once by Setup), plus the CSR the Eulerian
-check and the partitioner read. These tests pin who owns each table and
-when it goes: the program drops a partition's level-0 entries once their
-last reader has run — in the process that ran it, and at commit in a
-coordinator whose partitions ran elsewhere — a CSR built for Setup does
-not outlive Setup, the pickled program and the remote install frame (what
-process and remote workers install) carry each table once, a run's traced
-peak and what a finished run retains stay within per-edge budgets, and
-the fragment store holds one block per Phase-1 run.
+and held half-edge rows (built once by Setup), plus the CSR the
+partitioner reads. These tests pin who owns each table and when it goes:
+the program drops a partition's level-0 entries once their last reader
+has run — in the process that ran it, at commit in a coordinator whose
+partitions ran elsewhere, and all at once in a remote coordinator when
+every host has the program — a CSR built for Setup does not outlive
+Setup, Setup's Eulerian check and placement hold their outputs plus O(n),
+the pickled program and the remote install frame (what process and
+remote workers install) carry each table once, a run's traced peak and
+what a finished run retains stay within per-edge budgets, and the
+fragment store holds one block per Phase-1 run.
 """
 
 from __future__ import annotations
@@ -18,17 +20,24 @@ import pickle
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from repro import kernels
 from repro.bsp.accounting import CAT_PHASE1
 from repro.bsp.engine import BSPEngine
 from repro.bsp.executors import RemoteExecutor
 from repro.bsp.transport import encode_frame
 from repro.core import phase1
+from repro.core.improvements import plan_remote_placement
+from repro.core.merge_tree import build_merge_tree
 from repro.core.pathmap import FragmentStore
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city
 from repro.graph.graph import Graph
+from repro.graph.metagraph import build_metagraph
+from repro.graph.properties import check_eulerian
 from repro.jobs.remote import WorkerHost
+from repro.partitioning import partition
 from repro.pipeline import Reconstruct, RunConfig, RunContext, Setup, run_pipeline
 
 
@@ -129,6 +138,56 @@ def test_remote_coordinator_drops_each_table_at_commit(tmp_path):
     np.testing.assert_array_equal(ctx.circuit.edge_ids, reference.circuit.edge_ids)
 
 
+def test_remote_coordinator_drops_level0_tables_once_installed(tmp_path):
+    """The remote executor tells the program once every host holds it,
+    and the coordinator's copy keeps no level-0 table or deferred
+    shipment into the run."""
+    graph = grid_city(8, 8)
+    _, program = _setup(graph, RunConfig(n_parts=4, strategy="proposed"))
+    assert program.local0 and program.rdeg0 and program.held0 and program.extras
+    with WorkerHost(tmp_path / "a") as h1, WorkerHost(tmp_path / "b") as h2:
+        ex = RemoteExecutor([h1.address, h2.address])
+        try:
+            ex.start(program)
+            assert program.local0 == program.rdeg0 == program.held0 == {}
+            assert program.extras == {}
+        finally:
+            ex.close()
+
+
+def test_setup_checks_hold_their_outputs_plus_o_n():
+    """Traced peaks on a scale-13 R-MAT (~4.8k vertices, ~31k edges):
+    the Eulerian check holds degrees and union-find labels, ~25 bytes
+    per vertex (an int64 CSR and a frontier BFS took ~490); the
+    placement holds its rows and merge-level column plus byte-wide
+    endpoint-part columns and one partition's temporaries, ~35 bytes per
+    vertex above them (~240 with cut-sized int64 columns)."""
+    if kernels.load() is None:
+        pytest.skip("no working C compiler: components run on the CSR reference")
+    graph = _fresh(eulerian_rmat(13, avg_degree=8.0, seed=3)[0])
+    n = graph.n_vertices
+    tracemalloc.start()
+    try:
+        check_eulerian(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph._csr is None
+    assert peak <= 40 * n
+    pg = partition(graph, 8, "ldg", 0)
+    tree = build_merge_tree(build_metagraph(pg))
+    for dedup in (False, True):
+        tracemalloc.start()
+        try:
+            placement = plan_remote_placement(pg, tree, dedup=dedup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = placement.merge_level_by_eid.nbytes + sum(
+            rows.nbytes for rows in placement.rows_for.values())
+        assert peak <= outputs + 64 * n
+
+
 def test_setup_keeps_no_csr_it_built():
     graph = _fresh(grid_city(6, 6))
     run_pipeline(graph, RunConfig(n_parts=4))
@@ -194,20 +253,23 @@ def _traced_run(monkeypatch):
 
 
 def test_run_peak_stays_within_a_per_edge_budget(monkeypatch):
-    """Traced peak of one in-process run: ~98 bytes per edge with int32
-    held rows and Phase-1 walk tables and exact-size Phase-3 outputs
-    (~144 with int64 tables; ~165 with an object per fragment and a sorted
-    placement; the duplicated and pinned tables before that took ~390)."""
+    """Traced peak of one in-process run: ~85 bytes per edge with Setup's
+    O(n) Eulerian check and byte-wide placement columns and 16-byte
+    ItemArray rows (~93 with an int64 CSR, a frontier BFS and 32-byte
+    rows; ~144 with int64 tables; ~165 with an object per fragment and a
+    sorted placement; the duplicated and pinned tables before that took
+    ~390)."""
     m, _, peak, _ = _traced_run(monkeypatch)
-    assert peak <= 105 * m
+    assert peak <= 92 * m
 
 
 def test_finished_run_retains_its_blocks_not_per_fragment_objects(monkeypatch):
     """What a finished run still holds (circuit, store, states, stats):
-    ~61 bytes per edge with one block per Phase-1 run, against ~99 with
-    a Fragment object, a body view and a dict entry per fragment."""
+    ~42 bytes per edge with one two-column block per Phase-1 run (~59
+    with four-column blocks), against ~99 with a Fragment object, a body
+    view and a dict entry per fragment."""
     m, retained, _, ctx = _traced_run(monkeypatch)
-    assert retained <= 80 * m
+    assert retained <= 48 * m
     runs = sum(CAT_PHASE1 in rec.timings
                for step in ctx.run_stats.records for rec in step)
     assert ctx.store.n_blocks == runs > 0  # one block per Phase-1 run
