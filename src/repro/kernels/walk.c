@@ -18,7 +18,7 @@
  * Vertices are local indices into the CSR tables; ``vert_ids`` maps them
  * to global ids (NULL in dense mode, where local == global). Walk kinds
  * are 0 path, 1 EB cycle, 2 anchored internal cycle, 3 merged internal
- * cycle (WALK_* in walk_kernel.py).
+ * cycle (WALK_* in repro.kernels).
  */
 
 /* Maximal traversal along unvisited edges from ``cur``: appends packed
